@@ -41,6 +41,7 @@ from .errors import (
     BadMagicError,
     ColcodecError,
     ColumnIndexOutOfRangeError,
+    CsvParseError,
     EmptyColumnError,
     FormatError,
     IdOutOfRangeError,
@@ -55,7 +56,6 @@ from .errors import (
 from .fileio import read_csv_column, read_encoded, write_encoded
 from .heuristics import (
     ColumnStats,
-    DecisionScheme,
     HeuristicParams,
     SchemeDecision,
     compute_stats,
@@ -65,6 +65,8 @@ from .optimizer import (
     ClusterObjective,
     EntropyObjective,
     VisitCounter,
+    best_cluster,
+    best_entropy,
     block_entropy,
     candidate_block_sizes,
     cluster_sweep,

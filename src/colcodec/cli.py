@@ -15,31 +15,25 @@ driven entirely by --seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
-import math
 import random
 import sys
 from typing import Sequence
 
 from . import encodings, fileio, heuristics, optimizer
 from .dictionary import IdInterval, ValueIdArray, decode_column, encode_column
+from .encodings import CODECS, SchemeKind
 from .errors import ColcodecError
-from .heuristics import DecisionScheme, HeuristicParams
+from .heuristics import HeuristicParams
 
 __all__ = ["main", "build_parser"]
 
-_DECISION_TO_KIND = {
-    DecisionScheme.NO_COMPRESSION: encodings.SchemeKind.RAW,
-    DecisionScheme.AFFINE_RLE: encodings.SchemeKind.AFFINE,
-    DecisionScheme.RLE: encodings.SchemeKind.RLE,
-    DecisionScheme.PREFIX: encodings.SchemeKind.PREFIX,
-    DecisionScheme.SPARSE: encodings.SchemeKind.SPARSE,
-    DecisionScheme.CLUSTER: encodings.SchemeKind.CLUSTER,
-    DecisionScheme.INDIRECT: encodings.SchemeKind.INDIRECT,
-}
-_NAME_TO_KIND = {"none": encodings.SchemeKind.RAW}
-_NAME_TO_KIND.update({k.value: k for k in encodings.SchemeKind if k is not encodings.SchemeKind.RAW})
+
+def _scheme_name(kind: SchemeKind) -> str:
+    """A scheme as the CLI spells it: raw storage is "none"."""
+    return "none" if kind is SchemeKind.RAW else kind.value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output column file")
     p.add_argument(
         "--scheme",
-        choices=["auto", "none", "prefix", "rle", "sparse", "cluster", "indirect", "affine"],
+        choices=["auto", *map(_scheme_name, SchemeKind)],
         default="auto",
     )
     p.add_argument(
@@ -125,48 +119,44 @@ def _params(args) -> HeuristicParams:
     return HeuristicParams(x=args.x, y=args.y, z=args.z)
 
 
-def _best_cluster(objectives):
-    best = None
-    for o in objectives:
-        if best is None or o.f > best.f:
-            best = o
-    return best
-
-
-def _best_entropy(objectives):
-    best = None
-    for o in objectives:
-        if best is None or o.mean_entropy < best.mean_entropy:
-            best = o
-    return best
+def _optimal_block_size(kind: SchemeKind, ids: Sequence[int], sqrt_bound: bool = False) -> int:
+    """The optimizer's block size for cluster or indirect; 2 for a single row."""
+    if len(ids) < 2:
+        return 2
+    if kind is SchemeKind.CLUSTER:
+        return optimizer.optimal_cluster_block_size(ids, sqrt_bound=sqrt_bound).b
+    return optimizer.optimal_indirect_block_size(ids, sqrt_bound=sqrt_bound).b
 
 
 def _analyze_report(values: list[str], params: HeuristicParams, sqrt_bound: bool) -> dict:
     dictionary, array = encode_column(values)
     stats = heuristics.compute_stats(array.ids)
-    decision = heuristics.decide_scheme(stats, array.ids, params, sqrt_bound=sqrt_bound)
 
     if stats.n >= 2:
         cluster_trace = optimizer.cluster_sweep(array.ids, sqrt_bound=sqrt_bound)
         entropy_trace = optimizer.entropy_sweep(array.ids, sqrt_bound=sqrt_bound)
-        best_cluster = _best_cluster(cluster_trace)
-        best_entropy = _best_entropy(entropy_trace)
+        best_cluster = optimizer.best_cluster(cluster_trace)
+        best_entropy = optimizer.best_entropy(entropy_trace)
+        sweeps = (cluster_trace, entropy_trace)
     else:
         cluster_trace = []
         entropy_trace = []
-        best_cluster = best_entropy = None
+        best_cluster = best_entropy = sweeps = None
+    decision = heuristics.decide_scheme(
+        stats, array.ids, params, sqrt_bound=sqrt_bound, sweeps=sweeps
+    )
 
-    def size_of(kind: encodings.SchemeKind, block_size: int | None = None) -> int:
+    def size_of(kind: SchemeKind, block_size: int | None = None) -> int:
         return encodings.encoded_size_bits(encodings.encode_array(array, kind, block_size))
 
     sizes = {
-        "raw": size_of(encodings.SchemeKind.RAW),
-        "prefix": size_of(encodings.SchemeKind.PREFIX),
-        "rle": size_of(encodings.SchemeKind.RLE),
-        "sparse": size_of(encodings.SchemeKind.SPARSE),
-        "cluster": size_of(encodings.SchemeKind.CLUSTER, best_cluster.b) if best_cluster else None,
-        "indirect": size_of(encodings.SchemeKind.INDIRECT, best_entropy.b) if best_entropy else None,
-        "affine": size_of(encodings.SchemeKind.AFFINE) if stats.is_sequential else None,
+        "raw": size_of(SchemeKind.RAW),
+        "prefix": size_of(SchemeKind.PREFIX),
+        "rle": size_of(SchemeKind.RLE),
+        "sparse": size_of(SchemeKind.SPARSE),
+        "cluster": size_of(SchemeKind.CLUSTER, best_cluster.b) if best_cluster else None,
+        "indirect": size_of(SchemeKind.INDIRECT, best_entropy.b) if best_entropy else None,
+        "affine": size_of(SchemeKind.AFFINE) if stats.is_sequential else None,
     }
 
     return {
@@ -183,12 +173,12 @@ def _analyze_report(values: list[str], params: HeuristicParams, sqrt_bound: bool
             "is_sequential": stats.is_sequential,
             "leading_run": stats.leading_run,
             "max_freq": stats.max_freq,
-            "avg_freq": stats.avg_freq,
+            "avg_freq": stats.avg_repetition,
             "sparsity": stats.sparsity,
             "avg_repetition": stats.avg_repetition,
         },
         "decision": {
-            "scheme": decision.scheme.value,
+            "scheme": _scheme_name(decision.scheme),
             "block_size": decision.block_size,
             "cluster_coverage": decision.cluster_coverage,
         },
@@ -215,28 +205,19 @@ def cmd_compress(args) -> int:
     if args.scheme == "auto":
         stats = heuristics.compute_stats(array.ids)
         decision = heuristics.decide_scheme(stats, array.ids, params, sqrt_bound=args.sqrt_bound)
-        kind = _DECISION_TO_KIND[decision.scheme]
+        kind = decision.scheme
         block_size = decision.block_size
         print(f"params: x={params.x} y={params.y} z={params.z}")
     else:
-        kind = _NAME_TO_KIND[args.scheme]
+        kind = next(k for k in SchemeKind if _scheme_name(k) == args.scheme)
         block_size = None
 
-    if kind in (encodings.SchemeKind.CLUSTER, encodings.SchemeKind.INDIRECT):
+    if CODECS[kind].blocked:
         if args.block_size is not None:
             encodings.check_block_size(args.block_size)
             block_size = args.block_size
         elif block_size is None:
-            if n < 2:
-                block_size = 2
-            elif kind is encodings.SchemeKind.CLUSTER:
-                block_size = optimizer.optimal_cluster_block_size(
-                    array.ids, sqrt_bound=args.sqrt_bound
-                ).b
-            else:
-                block_size = optimizer.optimal_indirect_block_size(
-                    array.ids, sqrt_bound=args.sqrt_bound
-                ).b
+            block_size = _optimal_block_size(kind, array.ids, args.sqrt_bound)
 
     encoded = encodings.encode_array(array, kind, block_size)
     with open(args.out, "wb") as f:
@@ -261,9 +242,7 @@ def cmd_decompress(args) -> int:
     # Cells are re-quoted minimally, so byte-level quoting may differ from the
     # original file even though every cell value is identical.
     with open(args.out, "w", encoding="utf-8", newline="") as f:
-        import csv as _csv
-
-        writer = _csv.writer(f, lineterminator="\n")
+        writer = csv.writer(f, lineterminator="\n")
         writer.writerows([v] for v in values)
     print(f"wrote {args.out} ({len(values)} rows)")
     return 0
@@ -281,23 +260,6 @@ def _random_interval(rng: random.Random, max_id: int) -> IdInterval:
     )
 
 
-def _mean_entropy_oracle(ids: Sequence[int], b: int) -> float:
-    """Independent route: natural-log histogram entropy, same block walk."""
-    n = len(ids)
-    total = 0.0
-    for start in range(0, n - b + 1, b):
-        block = ids[start : start + b]
-        freqs: dict[int, int] = {}
-        for v in block:
-            freqs[v] = freqs.get(v, 0) + 1
-        h = 0.0
-        for c in freqs.values():
-            p = c / len(block)
-            h -= p * math.log(p)
-        total += h / math.log(b)
-    return total / math.ceil(n / b)
-
-
 def _verification_checks(
     values: list[str], params: HeuristicParams, seed: int, sqrt_bound: bool
 ) -> list[tuple[str, bool]]:
@@ -308,24 +270,11 @@ def _verification_checks(
     stats = heuristics.compute_stats(ids)
     checks: list[tuple[str, bool]] = []
 
-    plans: list[tuple[encodings.SchemeKind, int | None]] = [
-        (encodings.SchemeKind.RAW, None),
-        (encodings.SchemeKind.PREFIX, None),
-        (encodings.SchemeKind.RLE, None),
-        (encodings.SchemeKind.SPARSE, None),
+    plans = [
+        (kind, _optimal_block_size(kind, ids) if CODECS[kind].blocked else None)
+        for kind in SchemeKind
+        if kind is not SchemeKind.AFFINE or stats.is_sequential
     ]
-    if n >= 2:
-        plans.append(
-            (encodings.SchemeKind.CLUSTER, optimizer.optimal_cluster_block_size(ids).b)
-        )
-        plans.append(
-            (encodings.SchemeKind.INDIRECT, optimizer.optimal_indirect_block_size(ids).b)
-        )
-    else:
-        plans.append((encodings.SchemeKind.CLUSTER, 2))
-        plans.append((encodings.SchemeKind.INDIRECT, 2))
-    if stats.is_sequential:
-        plans.append((encodings.SchemeKind.AFFINE, None))
 
     dict_section = sum(4 + len(v.encode("utf-8")) for v in dictionary.values)
     for kind, block_size in plans:
@@ -363,30 +312,31 @@ def _verification_checks(
 
     if n >= 2:
         sweep = optimizer.cluster_sweep(ids, sqrt_bound=sqrt_bound)
+        oracle_f: dict[int, int] = {}
         for objective in sweep:
             oracle_s = optimizer.clustered_block_count_oracle(ids, objective.b)
             checks.append((f"clustered blocks b={objective.b}", objective.s == oracle_s))
-        best = _best_cluster(sweep)
-        oracle_best = None
-        for objective in sweep:
-            f = optimizer.clustered_block_count_oracle(ids, objective.b) * (objective.b - 1)
-            if oracle_best is None or f > oracle_best[1]:
-                oracle_best = (objective.b, f)
+            oracle_f[objective.b] = oracle_s * (objective.b - 1)
+        best = optimizer.best_cluster(sweep)
+        oracle_b = max(oracle_f, key=oracle_f.__getitem__)  # equal F: the first, smallest b
         checks.append(
-            ("cluster optimizer equals oracle argmax", (best.b, best.f) == oracle_best)
+            (
+                "cluster optimizer equals oracle argmax",
+                (best.b, best.f) == (oracle_b, oracle_f[oracle_b]),
+            )
         )
 
         entropy = optimizer.entropy_sweep(ids, sqrt_bound=sqrt_bound)
+        oracle_h = {o.b: optimizer.mean_block_entropy_oracle(ids, o.b) for o in entropy}
         for objective in entropy:
-            oracle_h = _mean_entropy_oracle(ids, objective.b)
             checks.append(
                 (
                     f"mean block entropy b={objective.b}",
-                    abs(objective.mean_entropy - oracle_h) <= 1e-9,
+                    abs(objective.mean_entropy - oracle_h[objective.b]) <= 1e-9,
                 )
             )
-        best_h = _best_entropy(entropy)
-        oracle_min = min(_mean_entropy_oracle(ids, o.b) for o in entropy)
+        best_h = optimizer.best_entropy(entropy)
+        oracle_min = min(oracle_h.values())
         checks.append(
             ("entropy optimizer matches oracle minimum", abs(best_h.mean_entropy - oracle_min) <= 1e-9)
         )

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Sequence
+
+import numpy as np
 
 from .errors import EmptyColumnError, IdOutOfRangeError
 
@@ -28,6 +29,7 @@ __all__ = [
     "encode_column",
     "decode_column",
     "predicate_to_id_range",
+    "run_lengths",
     "to_runs",
 ]
 
@@ -181,12 +183,24 @@ def predicate_to_id_range(
     raise ValueError(f"unknown predicate operator: {op!r}")
 
 
+def run_lengths(ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal runs' values and lengths, as two int64 arrays.
+
+    Every run-based path derives its runs here: ``to_runs``, and through it
+    RLE encoding, and the cluster optimizer, which needs only the lengths.
+    """
+    arr = np.asarray(ids, dtype=np.int64)
+    if arr.size == 0:
+        return arr, arr
+    starts = np.flatnonzero(np.concatenate(([True], arr[1:] != arr[:-1])))
+    return arr[starts], np.diff(np.append(starts, arr.size))
+
+
 def to_runs(array: ValueIdArray | Sequence[int]) -> RunLengthView:
     """Collapse consecutive equal IDs into (id, count) runs.
 
     Empty input yields an empty run list. Accepts a ValueIdArray or any
     sequence of IDs.
     """
-    ids = getattr(array, "ids", array)
-    runs = [(value, len(list(group))) for value, group in groupby(ids)]
-    return RunLengthView(runs=runs)
+    values, counts = run_lengths(getattr(array, "ids", array))
+    return RunLengthView(runs=list(zip(values.tolist(), counts.tolist())))

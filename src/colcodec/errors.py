@@ -35,6 +35,10 @@ class Utf8Error(ColcodecError):
     """Input bytes are not valid UTF-8."""
 
 
+class CsvParseError(ColcodecError):
+    """The CSV parser rejected the input; the message names the line."""
+
+
 class FormatError(ColcodecError):
     """Malformed column file. ``offset`` is the byte position of the problem."""
 

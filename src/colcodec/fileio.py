@@ -3,30 +3,17 @@
 File layout, integers little-endian throughout:
 
     header   magic "BCC1" | version u8 (=1) | scheme u8 | n u64 |
-             block_size u32 (0 unless cluster/indirect) | dict_count u64
+             block_size u32 (0 unless the scheme takes one) | dict_count u64
     dict     dict_count entries, each u32 byte length + UTF-8 bytes,
              strictly ascending
-    counts   scheme-dependent u64 fields (see below)
+    counts   scheme-dependent u64 fields
     packed   one bit stream, values LSB-first within bytes, zero-padded
              to the next byte boundary
 
-Scheme payloads as (counts region | packed region):
-
-    raw      - | n ids
-    prefix   prefix length | prefix id, remaining ids
-    rle      run count, per-run lengths | run value ids
-    sparse   - | dominant id, presence bits (n), residual ids
-    cluster  - | block flag bits (ceil(n/b)), single ids, uncompressed ids
-    indirect indirect-block count, per-indirect-block local dict sizes |
-             block tag bits (ceil(n/b)), then per block either its local
-             dict (global width) + local ids (local width) or its ids
-             (global width)
-    affine   - | start id, one step bit (0 = +1, 1 = -1)
-
-IDs are packed at the dictionary ID width max(1, ceil(log2 dict_count));
-indirect local IDs at the same law over their local dictionary size. The
-counts region is byte-aligned by construction and the packed region pads
-once at the end, so the total file size is exactly
+Each scheme's tag, counts region and packed region are laid out by its
+codec; the table of all seven is in ``encodings`` (``CODECS``). The counts
+region is byte-aligned by construction and the packed region pads once at
+the end, so the total file size is exactly
 
     26 + dictionary section bytes + ceil(encoded_size_bits / 8).
 
@@ -42,25 +29,15 @@ from __future__ import annotations
 import csv
 import io
 import struct
-from typing import BinaryIO, Union
+from typing import BinaryIO, Iterable
 
-from .dictionary import Dictionary, ValueIdArray, id_width_bits
-from .encodings import (
-    AffineEncoded,
-    BitVector,
-    ClusterEncoded,
-    DirectBlock,
-    EncodedColumn,
-    IndirectBlock,
-    IndirectEncoded,
-    PrefixEncoded,
-    RleEncoded,
-    SchemeKind,
-    SparseEncoded,
-)
+from .dictionary import Dictionary, id_width_bits
+from .encodings import CODECS, EncodedColumn, check_block_size
 from .errors import (
     BadMagicError,
     ColumnIndexOutOfRangeError,
+    CsvParseError,
+    InvalidBlockSizeError,
     InvariantViolationError,
     RaggedRowError,
     TruncatedPayloadError,
@@ -82,16 +59,7 @@ VERSION = 1
 _HEADER = struct.Struct("<4sBBQIQ")
 HEADER_BYTES = _HEADER.size  # 26
 
-_SCHEME_TAGS = {
-    SchemeKind.RAW: 0,
-    SchemeKind.PREFIX: 1,
-    SchemeKind.RLE: 2,
-    SchemeKind.SPARSE: 3,
-    SchemeKind.CLUSTER: 4,
-    SchemeKind.INDIRECT: 5,
-    SchemeKind.AFFINE: 6,
-}
-_TAG_SCHEMES = {tag: kind for kind, tag in _SCHEME_TAGS.items()}
+_CODEC_OF_TAG = {codec.tag: codec for codec in CODECS.values()}
 
 
 class _BitWriter:
@@ -109,6 +77,10 @@ class _BitWriter:
             self._bytes.append(self._acc & 0xFF)
             self._acc >>= 8
             self._pending -= 8
+
+    def write_many(self, values: Iterable[int], nbits: int) -> None:
+        for value in values:
+            self.write(value, nbits)
 
     def getvalue(self) -> bytes:
         out = bytearray(self._bytes)
@@ -142,65 +114,21 @@ class _BitReader:
         self._pending -= nbits
         return value
 
+    def read_many(self, count: int, nbits: int) -> list[int]:
+        return [self.read(nbits) for _ in range(count)]
+
+    def read_u64(self, what: str) -> int:
+        """One little-endian u64 of the counts region, which precedes all bits."""
+        if self._pos + 8 > len(self._data):
+            raise TruncatedPayloadError(f"{what} truncated", self._pos)
+        self._pos += 8
+        return int.from_bytes(self._data[self._pos - 8 : self._pos], "little")
+
     def finish(self) -> None:
         if self._acc:
             raise InvariantViolationError("nonzero padding bits", self._pos - 1)
         if self._pos != len(self._data):
             raise InvariantViolationError("trailing bytes after payload", self._pos)
-
-
-def _payload_parts(encoded: EncodedColumn) -> tuple[list[int], bytes]:
-    """The payload as (u64 count fields, packed bit region)."""
-    w = encoded.id_width_bits
-    p = encoded.payload
-    counts: list[int] = []
-    bits = _BitWriter()
-    if isinstance(p, ValueIdArray):
-        for v in p.ids:
-            bits.write(v, w)
-    elif isinstance(p, PrefixEncoded):
-        counts.append(p.prefix_count)
-        bits.write(p.prefix_id, w)
-        for v in p.rest:
-            bits.write(v, w)
-    elif isinstance(p, RleEncoded):
-        counts.append(len(p.runs))
-        counts.extend(c for _, c in p.runs)
-        for v, _ in p.runs:
-            bits.write(v, w)
-    elif isinstance(p, SparseEncoded):
-        bits.write(p.dominant_id, w)
-        for bit in p.positions.bits:
-            bits.write(int(bit), 1)
-        for v in p.residual:
-            bits.write(v, w)
-    elif isinstance(p, ClusterEncoded):
-        for flag in p.flags.bits:
-            bits.write(int(flag), 1)
-        for v in p.singles:
-            bits.write(v, w)
-        for v in p.uncompressed:
-            bits.write(v, w)
-    elif isinstance(p, IndirectEncoded):
-        indirect = [b for b in p.blocks if isinstance(b, IndirectBlock)]
-        counts.append(len(indirect))
-        counts.extend(len(b.local_dictionary) for b in indirect)
-        for block in p.blocks:
-            bits.write(int(isinstance(block, IndirectBlock)), 1)
-        for block in p.blocks:
-            if isinstance(block, IndirectBlock):
-                for v in block.local_dictionary:
-                    bits.write(v, w)
-                local_w = id_width_bits(len(block.local_dictionary))
-                for v in block.local_ids:
-                    bits.write(v, local_w)
-            else:
-                for v in block.ids:
-                    bits.write(v, w)
-    else:
-        bits.write(p.start_id, w)
-        bits.write(0 if p.step == 1 else 1, 1)
-    return counts, bits.getvalue()
 
 
 def write_encoded(sink: BinaryIO, dictionary: Dictionary, encoded: EncodedColumn) -> int:
@@ -209,25 +137,20 @@ def write_encoded(sink: BinaryIO, dictionary: Dictionary, encoded: EncodedColumn
     The dictionary and encoding must belong together (same ID width, IDs in
     range); that is the caller's contract.
     """
-    p = encoded.payload
-    block_size = p.block_size if isinstance(p, (ClusterEncoded, IndirectEncoded)) else 0
+    codec = encoded.codec
+    block_size = encoded.payload.block_size if codec.blocked else 0
     buf = bytearray()
     buf += _HEADER.pack(
-        MAGIC,
-        VERSION,
-        _SCHEME_TAGS[encoded.scheme],
-        encoded.length,
-        block_size,
-        len(dictionary.values),
+        MAGIC, VERSION, codec.tag, encoded.length, block_size, len(dictionary.values)
     )
     for value in dictionary.values:
         raw = value.encode("utf-8")
         buf += struct.pack("<I", len(raw))
         buf += raw
-    counts, packed = _payload_parts(encoded)
-    for c in counts:
+    bits = _BitWriter()
+    for c in codec.pack(encoded.payload, encoded.id_width_bits, bits):
         buf += struct.pack("<Q", c)
-    buf += packed
+    buf += bits.getvalue()
     sink.write(bytes(buf))
     return len(buf)
 
@@ -236,18 +159,6 @@ def _take(data: bytes, pos: int, n: int, what: str) -> tuple[bytes, int]:
     if pos + n > len(data):
         raise TruncatedPayloadError(f"{what} truncated", pos)
     return data[pos : pos + n], pos + n
-
-
-def _read_u64(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    raw, pos = _take(data, pos, 8, what)
-    return struct.unpack("<Q", raw)[0], pos
-
-
-def _check_id(value: int, dict_count: int, what: str, offset: int) -> None:
-    if value >= dict_count:
-        raise InvariantViolationError(
-            f"{what} {value} outside dictionary of {dict_count} values", offset
-        )
 
 
 def read_encoded(source: BinaryIO) -> tuple[Dictionary, EncodedColumn]:
@@ -262,14 +173,16 @@ def read_encoded(source: BinaryIO) -> tuple[Dictionary, EncodedColumn]:
     _, version, tag, n, block_size, dict_count = _HEADER.unpack_from(data)
     if version != VERSION:
         raise UnsupportedVersionError(f"version {version} not supported", 4)
-    if tag not in _TAG_SCHEMES:
+    codec = _CODEC_OF_TAG.get(tag)
+    if codec is None:
         raise InvariantViolationError(f"unknown scheme tag {tag}", 5)
-    scheme = _TAG_SCHEMES[tag]
     if n < 1:
         raise InvariantViolationError("column has no rows", 6)
-    if scheme in (SchemeKind.CLUSTER, SchemeKind.INDIRECT):
-        if block_size < 2 or block_size & (block_size - 1):
-            raise InvariantViolationError(f"bad block size {block_size}", 14)
+    if codec.blocked:
+        try:
+            check_block_size(block_size)
+        except InvalidBlockSizeError:
+            raise InvariantViolationError(f"bad block size {block_size}", 14) from None
     elif block_size != 0:
         raise InvariantViolationError(
             f"block size {block_size} for a blockless scheme", 14
@@ -298,179 +211,10 @@ def read_encoded(source: BinaryIO) -> tuple[Dictionary, EncodedColumn]:
     dictionary = Dictionary(values=values, width_bits=id_width_bits(dict_count))
     w = dictionary.width_bits
 
-    payload = _read_payload(data, pos, scheme, n, block_size, dict_count, w)
-    encoded = EncodedColumn(payload=payload, id_width_bits=w, length=n)
-    return dictionary, encoded
-
-
-def _read_payload(
-    data: bytes,
-    pos: int,
-    scheme: SchemeKind,
-    n: int,
-    block_size: int,
-    dict_count: int,
-    w: int,
-) -> Union[
-    ValueIdArray,
-    PrefixEncoded,
-    RleEncoded,
-    SparseEncoded,
-    ClusterEncoded,
-    IndirectEncoded,
-    AffineEncoded,
-]:
-    if scheme is SchemeKind.RAW:
-        br = _BitReader(data, pos)
-        ids = [br.read(w) for _ in range(n)]
-        for v in ids:
-            _check_id(v, dict_count, "id", br.position)
-        br.finish()
-        return ValueIdArray(ids=ids, id_width_bits=w)
-
-    if scheme is SchemeKind.PREFIX:
-        prefix_count, pos = _read_u64(data, pos, "prefix length")
-        if not 1 <= prefix_count <= n:
-            raise InvariantViolationError(f"prefix length {prefix_count} of {n} rows", pos - 8)
-        br = _BitReader(data, pos)
-        prefix_id = br.read(w)
-        _check_id(prefix_id, dict_count, "prefix id", br.position)
-        rest = [br.read(w) for _ in range(n - prefix_count)]
-        for v in rest:
-            _check_id(v, dict_count, "id", br.position)
-        if rest and rest[0] == prefix_id:
-            raise InvariantViolationError("prefix run not maximal", br.position)
-        br.finish()
-        return PrefixEncoded(prefix_id=prefix_id, prefix_count=prefix_count, rest=rest)
-
-    if scheme is SchemeKind.RLE:
-        run_count, pos = _read_u64(data, pos, "run count")
-        if run_count < 1:
-            raise InvariantViolationError("no runs", pos - 8)
-        lengths = []
-        for i in range(run_count):
-            c, pos = _read_u64(data, pos, f"run {i} length")
-            if c < 1:
-                raise InvariantViolationError(f"run {i} has zero length", pos - 8)
-            lengths.append(c)
-        if sum(lengths) != n:
-            raise InvariantViolationError(
-                f"run lengths sum to {sum(lengths)}, header says {n}", pos
-            )
-        br = _BitReader(data, pos)
-        runs = []
-        for i, c in enumerate(lengths):
-            v = br.read(w)
-            _check_id(v, dict_count, f"run {i} id", br.position)
-            if runs and runs[-1][0] == v:
-                raise InvariantViolationError(f"runs {i - 1} and {i} not maximal", br.position)
-            runs.append((v, c))
-        br.finish()
-        return RleEncoded(runs=runs)
-
-    if scheme is SchemeKind.SPARSE:
-        br = _BitReader(data, pos)
-        dominant = br.read(w)
-        _check_id(dominant, dict_count, "dominant id", br.position)
-        bits = [bool(br.read(1)) for _ in range(n)]
-        residual = [br.read(w) for _ in range(n - sum(bits))]
-        for v in residual:
-            _check_id(v, dict_count, "residual id", br.position)
-            if v == dominant:
-                raise InvariantViolationError("dominant id in residual", br.position)
-        br.finish()
-        return SparseEncoded(dominant_id=dominant, positions=BitVector(bits), residual=residual)
-
-    if scheme is SchemeKind.CLUSTER:
-        b = block_size
-        num_blocks = -(-n // b)
-        br = _BitReader(data, pos)
-        flags = [bool(br.read(1)) for _ in range(num_blocks)]
-        if n % b and flags[-1]:
-            raise InvariantViolationError("partial trailing block flagged as clustered", br.position)
-        s = sum(flags)
-        singles = [br.read(w) for _ in range(s)]
-        for v in singles:
-            _check_id(v, dict_count, "single id", br.position)
-        uncompressed = [br.read(w) for _ in range(n - s * b)]
-        for v in uncompressed:
-            _check_id(v, dict_count, "id", br.position)
-        br.finish()
-        return ClusterEncoded(
-            block_size=b,
-            flags=BitVector(flags),
-            singles=singles,
-            uncompressed=uncompressed,
-            length=n,
-        )
-
-    if scheme is SchemeKind.INDIRECT:
-        b = block_size
-        num_blocks = -(-n // b)
-        indirect_count, pos = _read_u64(data, pos, "indirect block count")
-        if indirect_count > num_blocks:
-            raise InvariantViolationError(
-                f"{indirect_count} indirect blocks of {num_blocks}", pos - 8
-            )
-        sizes = []
-        for i in range(indirect_count):
-            k, pos = _read_u64(data, pos, f"local dictionary {i} size")
-            if k < 1:
-                raise InvariantViolationError(f"local dictionary {i} empty", pos - 8)
-            sizes.append(k)
-        br = _BitReader(data, pos)
-        tags = [bool(br.read(1)) for _ in range(num_blocks)]
-        if sum(tags) != indirect_count:
-            raise InvariantViolationError(
-                f"{sum(tags)} indirect tags, counts region says {indirect_count}",
-                br.position,
-            )
-        sizes_left = iter(sizes)
-        blocks: list[Union[DirectBlock, IndirectBlock]] = []
-        for i, tagged in enumerate(tags):
-            b_eff = min(b, n - i * b)
-            if tagged:
-                k = next(sizes_left)
-                if k > b_eff or k > dict_count:
-                    raise InvariantViolationError(
-                        f"local dictionary of {k} ids in a {b_eff}-row block", br.position
-                    )
-                local = [br.read(w) for _ in range(k)]
-                for v in local:
-                    _check_id(v, dict_count, "local dictionary id", br.position)
-                if any(local[j] >= local[j + 1] for j in range(k - 1)):
-                    raise InvariantViolationError(
-                        f"local dictionary of block {i} not strictly ascending", br.position
-                    )
-                local_w = id_width_bits(k)
-                local_ids = [br.read(local_w) for _ in range(b_eff)]
-                if any(v >= k for v in local_ids):
-                    raise InvariantViolationError(
-                        f"local id outside {k}-entry dictionary in block {i}", br.position
-                    )
-                blocks.append(IndirectBlock(local_dictionary=local, local_ids=local_ids))
-            else:
-                ids = [br.read(w) for _ in range(b_eff)]
-                for v in ids:
-                    _check_id(v, dict_count, "id", br.position)
-                blocks.append(DirectBlock(ids=ids))
-        br.finish()
-        return IndirectEncoded(block_size=b, blocks=blocks, length=n)
-
-    # affine
-    if n < 2:
-        raise InvariantViolationError("affine column with fewer than 2 rows", 6)
     br = _BitReader(data, pos)
-    start = br.read(w)
-    step = 1 if br.read(1) == 0 else -1
+    payload = codec.unpack(br, n, block_size, dict_count, w)
     br.finish()
-    _check_id(start, dict_count, "start id", pos)
-    last = start + (n - 1) * step
-    if not 0 <= last < dict_count:
-        raise InvariantViolationError(
-            f"affine end id {last} outside dictionary of {dict_count} values", pos
-        )
-    return AffineEncoded(start_id=start, step=step, length=n)
+    return dictionary, EncodedColumn(payload=payload, id_width_bits=w, length=n)
 
 
 def read_csv_column(
@@ -486,7 +230,11 @@ def read_csv_column(
         text = source.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise Utf8Error(f"input is not valid UTF-8: {exc}") from None
-    rows = [row if row else [""] for row in csv.reader(io.StringIO(text))]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [row if row else [""] for row in reader]
+    except csv.Error as exc:
+        raise CsvParseError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         return []
     width = len(rows[0])

@@ -11,31 +11,27 @@ The decision walks a fixed branch order; the first match wins:
                                indirect at the entropy optimizer's block size
 6. otherwise                -> no compression
 
-sparsity is max_freq / avg_freq and avg repetition is n / distinct. The
-x, y, z defaults (10, 2, 0.5) are workload-tuned constants with no deeper
-justification, so every report should surface them.
+avg repetition is n / distinct, a value's mean frequency, and sparsity is
+max_freq / avg repetition. The x, y, z defaults (10, 2, 0.5) are
+workload-tuned constants with no deeper justification, so every report
+should surface them.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import optimizer
 from .dictionary import ValueIdArray
+from .encodings import SchemeKind
 from .errors import EmptyColumnError
-from .optimizer import (
-    ClusterObjective,
-    EntropyObjective,
-    optimal_cluster_block_size,
-    optimal_indirect_block_size,
-)
+from .optimizer import ClusterObjective, EntropyObjective
 
 __all__ = [
     "ColumnStats",
     "HeuristicParams",
-    "DecisionScheme",
     "SchemeDecision",
     "compute_stats",
     "decide_scheme",
@@ -50,8 +46,7 @@ class ColumnStats:
     is_sequential: bool  # stride +1 or -1 throughout, needs n >= 2
     leading_run: int
     max_freq: int
-    avg_freq: float  # n / distinct
-    sparsity: float  # max_freq / avg_freq
+    sparsity: float  # max_freq / avg_repetition
     avg_repetition: float  # n / distinct
 
 
@@ -70,19 +65,9 @@ class HeuristicParams:
             raise ValueError(f"z must be in (0, 1), got {self.z}")
 
 
-class DecisionScheme(enum.Enum):
-    NO_COMPRESSION = "none"
-    AFFINE_RLE = "affine"
-    RLE = "rle"
-    PREFIX = "prefix"
-    SPARSE = "sparse"
-    CLUSTER = "cluster"
-    INDIRECT = "indirect"
-
-
 @dataclass(frozen=True)
 class SchemeDecision:
-    scheme: DecisionScheme
+    scheme: SchemeKind
     stats: ColumnStats
     params: HeuristicParams
     block_size: int | None = None
@@ -115,7 +100,7 @@ def compute_stats(array: ValueIdArray | Sequence[int]) -> ColumnStats:
         if delta != -1:
             descending = False
 
-    avg_freq = n / distinct
+    avg_repetition = n / distinct
     return ColumnStats(
         n=n,
         distinct=distinct,
@@ -123,9 +108,8 @@ def compute_stats(array: ValueIdArray | Sequence[int]) -> ColumnStats:
         is_sequential=ascending or descending,
         leading_run=leading_run,
         max_freq=max_freq,
-        avg_freq=avg_freq,
-        sparsity=max_freq / avg_freq,
-        avg_repetition=avg_freq,
+        sparsity=max_freq / avg_repetition,
+        avg_repetition=avg_repetition,
     )
 
 
@@ -135,35 +119,46 @@ def decide_scheme(
     params: HeuristicParams = HeuristicParams(),
     *,
     sqrt_bound: bool = False,
+    sweeps: tuple[list[ClusterObjective], list[EntropyObjective]] | None = None,
 ) -> SchemeDecision:
-    """Pick a scheme for the column; deterministic in (stats, ids, params)."""
+    """Pick a scheme for the column; deterministic in (stats, ids, params).
+
+    ``sweeps``, when given, holds this column's cluster and entropy sweeps
+    under the same ``sqrt_bound``; the block sizes are then taken from them
+    instead of sweeping again.
+    """
     ids = getattr(array, "ids", array)
+    cluster_trace, entropy_trace = sweeps or (None, None)
 
     if stats.distinct == stats.n:
-        scheme = DecisionScheme.AFFINE_RLE if stats.is_sequential else DecisionScheme.NO_COMPRESSION
+        scheme = SchemeKind.AFFINE if stats.is_sequential else SchemeKind.RAW
         return SchemeDecision(scheme=scheme, stats=stats, params=params)
     if stats.is_sorted:
-        return SchemeDecision(scheme=DecisionScheme.RLE, stats=stats, params=params)
+        return SchemeDecision(scheme=SchemeKind.RLE, stats=stats, params=params)
     if stats.leading_run > 2 and stats.distinct > 1:
-        return SchemeDecision(scheme=DecisionScheme.PREFIX, stats=stats, params=params)
+        return SchemeDecision(scheme=SchemeKind.PREFIX, stats=stats, params=params)
     if stats.sparsity > params.x:
-        return SchemeDecision(scheme=DecisionScheme.SPARSE, stats=stats, params=params)
+        return SchemeDecision(scheme=SchemeKind.SPARSE, stats=stats, params=params)
     if stats.avg_repetition > params.y:
         # distinct < n here, so n >= 2 and the optimizers are defined
-        cluster = optimal_cluster_block_size(ids, sqrt_bound=sqrt_bound)
+        cluster = optimizer.best_cluster(
+            cluster_trace or optimizer.cluster_sweep(ids, sqrt_bound=sqrt_bound)
+        )
         coverage = cluster.s * cluster.b / stats.n
         if coverage > params.z:
             return SchemeDecision(
-                scheme=DecisionScheme.CLUSTER,
+                scheme=SchemeKind.CLUSTER,
                 stats=stats,
                 params=params,
                 block_size=cluster.b,
                 cluster_objective=cluster,
                 cluster_coverage=coverage,
             )
-        entropy = optimal_indirect_block_size(ids, sqrt_bound=sqrt_bound)
+        entropy = optimizer.best_entropy(
+            entropy_trace or optimizer.entropy_sweep(ids, sqrt_bound=sqrt_bound)
+        )
         return SchemeDecision(
-            scheme=DecisionScheme.INDIRECT,
+            scheme=SchemeKind.INDIRECT,
             stats=stats,
             params=params,
             block_size=entropy.b,
@@ -171,4 +166,4 @@ def decide_scheme(
             entropy_objective=entropy,
             cluster_coverage=coverage,
         )
-    return SchemeDecision(scheme=DecisionScheme.NO_COMPRESSION, stats=stats, params=params)
+    return SchemeDecision(scheme=SchemeKind.RAW, stats=stats, params=params)

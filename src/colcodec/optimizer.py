@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dictionary import RunLengthView, ValueIdArray
+from .dictionary import RunLengthView, ValueIdArray, run_lengths
 from .encodings import check_block_size
 from .errors import EmptyColumnError
 
@@ -41,10 +41,13 @@ __all__ = [
     "clustered_block_count",
     "clustered_block_count_oracle",
     "cluster_sweep",
+    "best_cluster",
     "optimal_cluster_block_size",
     "block_entropy",
     "mean_block_entropy",
+    "mean_block_entropy_oracle",
     "entropy_sweep",
+    "best_entropy",
     "optimal_indirect_block_size",
 ]
 
@@ -119,12 +122,21 @@ def clustered_block_count_oracle(ids: Sequence[int], block_size: int) -> int:
     return s
 
 
-def _run_counts(ids: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(ids, dtype=np.int64)
-    if arr.size == 0:
-        return arr
-    starts = np.concatenate(([0], np.flatnonzero(arr[1:] != arr[:-1]) + 1))
-    return np.diff(np.concatenate((starts, [arr.size])))
+def mean_block_entropy_oracle(ids: Sequence[int], b: int) -> float:
+    """Reference mean block entropy: natural-log histograms, same block walk."""
+    n = len(ids)
+    total = 0.0
+    for start in range(0, n - b + 1, b):
+        block = ids[start : start + b]
+        freqs: dict[int, int] = {}
+        for v in block:
+            freqs[v] = freqs.get(v, 0) + 1
+        h = 0.0
+        for c in freqs.values():
+            p = c / len(block)
+            h -= p * math.log(p)
+        total += h / math.log(b)
+    return total / math.ceil(n / b)
 
 
 def cluster_sweep(
@@ -136,7 +148,7 @@ def cluster_sweep(
     """Evaluate F(b) for every candidate block size, ascending."""
     ids = _ids_of(array)
     candidates = candidate_block_sizes(len(ids), sqrt_bound)
-    counts = _run_counts(ids)
+    _, counts = run_lengths(ids)
     if counter:
         counter.add(len(ids))  # one pass to derive the runs
     objectives = []
@@ -148,6 +160,11 @@ def cluster_sweep(
     return objectives
 
 
+def best_cluster(sweep: Sequence[ClusterObjective]) -> ClusterObjective:
+    """The sweep's largest F; of equal ones, the first (smallest b)."""
+    return max(sweep, key=lambda o: o.f)
+
+
 def optimal_cluster_block_size(
     array: ValueIdArray | Sequence[int],
     *,
@@ -155,12 +172,7 @@ def optimal_cluster_block_size(
     counter: VisitCounter | None = None,
 ) -> ClusterObjective:
     """argmax of F(b); the smallest candidate wins ties."""
-    best: ClusterObjective | None = None
-    for objective in cluster_sweep(array, sqrt_bound=sqrt_bound, counter=counter):
-        if best is None or objective.f > best.f:
-            best = objective
-    assert best is not None
-    return best
+    return best_cluster(cluster_sweep(array, sqrt_bound=sqrt_bound, counter=counter))
 
 
 def block_entropy(block: Sequence[int], base: int) -> float:
@@ -208,6 +220,11 @@ def entropy_sweep(
     return objectives
 
 
+def best_entropy(sweep: Sequence[EntropyObjective]) -> EntropyObjective:
+    """The sweep's smallest mean entropy; of equal ones, the first (smallest b)."""
+    return min(sweep, key=lambda o: o.mean_entropy)
+
+
 def optimal_indirect_block_size(
     array: ValueIdArray | Sequence[int],
     *,
@@ -215,9 +232,4 @@ def optimal_indirect_block_size(
     counter: VisitCounter | None = None,
 ) -> EntropyObjective:
     """argmin of the mean block entropy; the smallest candidate wins ties."""
-    best: EntropyObjective | None = None
-    for objective in entropy_sweep(array, sqrt_bound=sqrt_bound, counter=counter):
-        if best is None or objective.mean_entropy < best.mean_entropy:
-            best = objective
-    assert best is not None
-    return best
+    return best_entropy(entropy_sweep(array, sqrt_bound=sqrt_bound, counter=counter))

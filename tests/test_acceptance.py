@@ -18,7 +18,6 @@ import pytest
 
 import support
 from colcodec import (
-    DecisionScheme,
     HeuristicParams,
     SchemeKind,
     block_entropy,
@@ -189,11 +188,11 @@ def test_06_entropy_scores_and_argmin_fixtures():
 
 def test_07_scheme_selection_fixtures_and_coverage_flip():
     fixtures = [
-        ([3, 1, 2], DecisionScheme.NO_COMPRESSION),
-        ([1, 2, 3, 4], DecisionScheme.AFFINE_RLE),
-        ([0, 0, 1, 2, 2, 2], DecisionScheme.RLE),
-        ([4, 4, 4, 4, 9, 1, 7, 2], DecisionScheme.PREFIX),
-        ([v for i in range(1, 33) for v in (i, 0)], DecisionScheme.SPARSE),
+        ([3, 1, 2], SchemeKind.RAW),
+        ([1, 2, 3, 4], SchemeKind.AFFINE),
+        ([0, 0, 1, 2, 2, 2], SchemeKind.RLE),
+        ([4, 4, 4, 4, 9, 1, 7, 2], SchemeKind.PREFIX),
+        ([v for i in range(1, 33) for v in (i, 0)], SchemeKind.SPARSE),
     ]
     outcomes = []
     for ids, expected in fixtures:
@@ -201,11 +200,11 @@ def test_07_scheme_selection_fixtures_and_coverage_flip():
         assert decision.scheme is expected
         outcomes.append(decision.scheme)
     assert set(outcomes) == {
-        DecisionScheme.NO_COMPRESSION,
-        DecisionScheme.AFFINE_RLE,
-        DecisionScheme.RLE,
-        DecisionScheme.PREFIX,
-        DecisionScheme.SPARSE,
+        SchemeKind.RAW,
+        SchemeKind.AFFINE,
+        SchemeKind.RLE,
+        SchemeKind.PREFIX,
+        SchemeKind.SPARSE,
     }
 
     # high-repetition column whose single-valued blocks cover 3/4 of the rows
@@ -215,10 +214,10 @@ def test_07_scheme_selection_fixtures_and_coverage_flip():
     assert coverage == 0.75
 
     for z, expected in (
-        (0.5, DecisionScheme.CLUSTER),
-        (0.74, DecisionScheme.CLUSTER),
-        (0.75, DecisionScheme.INDIRECT),  # the bar is strict
-        (0.8, DecisionScheme.INDIRECT),
+        (0.5, SchemeKind.CLUSTER),
+        (0.74, SchemeKind.CLUSTER),
+        (0.75, SchemeKind.INDIRECT),  # the bar is strict
+        (0.8, SchemeKind.INDIRECT),
     ):
         decision = decide_scheme(compute_stats(ids), ids, HeuristicParams(z=z))
         assert decision.scheme is expected, (z, decision.scheme)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import colcodec.encodings
+import colcodec.optimizer
 from colcodec import read_csv_column
 from colcodec.cli import main
 
@@ -265,3 +266,38 @@ def test_verify_detects_a_broken_decoder(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert "FAIL round-trip raw" in out
     assert "verification FAILED" in out
+
+
+def test_analyze_runs_each_sweep_once(capsys, tmp_path, monkeypatch):
+    ids = [1, 2] + [3] * 8 + [4] * 8 + [5, 4, 3, 2] + [6] * 8 + [2, 1]
+    csv = write_csv(tmp_path, [f"v{i}" for i in ids])
+    calls = {"cluster_sweep": 0, "entropy_sweep": 0}
+    for name in calls:
+        sweep = getattr(colcodec.optimizer, name)
+
+        def counted(*args, _sweep=sweep, _name=name, **kwargs):
+            calls[_name] += 1
+            return _sweep(*args, **kwargs)
+
+        monkeypatch.setattr(colcodec.optimizer, name, counted)
+    code, out, _ = run(capsys, ["analyze", csv, "--z", "0.8"])
+    assert code == 0
+    assert json.loads(out)["decision"]["scheme"] == "indirect"
+    assert calls == {"cluster_sweep": 1, "entropy_sweep": 1}
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"ok\n" + b"x" * 131_073 + b"\n", 2),  # over the csv module's field limit
+        (b"ok\nfine\nbare\rreturn\n", 3),  # carriage return in an unquoted field
+    ],
+    ids=["field-limit", "bare-cr"],
+)
+def test_csv_parser_errors_fail_cleanly(capsys, tmp_path, data, line):
+    csv = tmp_path / "bad.csv"
+    csv.write_bytes(data)
+    code, _, err = run(capsys, ["analyze", str(csv)])
+    assert code == 1
+    assert err.startswith("error: CsvParseError: ")
+    assert f"line {line}:" in err

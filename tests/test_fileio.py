@@ -74,6 +74,56 @@ def test_golden_file_reads_back():
     assert decode_array(encoded) == [1, 0, 1]
 
 
+GOLDEN_ROWS = "b b b b a c a a e d".split()  # IDs 1 1 1 1 0 2 0 0 4 3, width 3
+GOLDEN_AFFINE_ROWS = "d c b a".split()  # IDs 3 2 1 0, step -1
+GOLDEN_DICT = "0100000061" "0100000062" "0100000063" "0100000064" "0100000065"
+
+# scheme -> (block size, file bytes); header | dictionary | counts and packed bits
+SCHEME_GOLDENS = {
+    SchemeKind.PREFIX: (
+        None,
+        "4243433101010a00000000000000000000000500000000000000" + GOLDEN_DICT
+        + "0400000000000000" "81000e",
+    ),
+    SchemeKind.RLE: (
+        None,
+        "4243433101020a00000000000000000000000500000000000000" + GOLDEN_DICT
+        + "0600000000000000" "0400000000000000" "0100000000000000" "0100000000000000"
+        "0200000000000000" "0100000000000000" "0100000000000000" "81c001",
+    ),
+    SchemeKind.SPARSE: (
+        None,
+        "4243433101030a00000000000000000000000500000000000000" + GOLDEN_DICT + "79000238",
+    ),
+    SchemeKind.CLUSTER: (
+        2,
+        "4243433101040a00000000000000020000000500000000000000" + GOLDEN_DICT + "2b01c401",
+    ),
+    SchemeKind.INDIRECT: (
+        4,
+        "4243433101050a00000000000000040000000500000000000000" + GOLDEN_DICT
+        + "0200000000000000" "0100000000000000" "0200000000000000" "0b40c201",
+    ),
+    SchemeKind.AFFINE: (
+        None,
+        "4243433101060400000000000000000000000400000000000000"
+        "0100000061" "0100000062" "0100000063" "0100000064" "07",
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", list(SCHEME_GOLDENS), ids=lambda s: s.value)
+def test_golden_bytes_per_scheme(scheme):
+    block_size, golden = SCHEME_GOLDENS[scheme]
+    rows = GOLDEN_AFFINE_ROWS if scheme is SchemeKind.AFFINE else GOLDEN_ROWS
+    dictionary, array = encode_column(rows)
+    encoded = encode_array(array, scheme, block_size)
+    data = bytes.fromhex(golden)
+    assert write_bytes(dictionary, encoded) == data
+    assert read_encoded(io.BytesIO(data)) == (dictionary, encoded)
+    assert decode_array(encoded) == array.ids
+
+
 def test_round_trip_preserves_structure_and_bytes():
     rng = np.random.default_rng(149)
     plan_rng = random.Random(149)
@@ -171,6 +221,17 @@ def test_block_size_field_must_match_the_scheme():
     bad = good[:14] + b"\x03\x00\x00\x00" + good[18:]
     with pytest.raises(InvariantViolationError):
         read_encoded(io.BytesIO(bad))
+
+
+def test_blocked_schemes_report_a_bad_block_size_at_its_field():
+    dictionary, array = encode_column(["a", "a", "b", "b"])
+    for scheme in (SchemeKind.CLUSTER, SchemeKind.INDIRECT):
+        good = write_bytes(dictionary, encode_array(array, scheme, block_size=2))
+        for block_size in (0, 1, 3, 6):
+            bad = good[:14] + block_size.to_bytes(4, "little") + good[18:]
+            with pytest.raises(InvariantViolationError) as info:
+                read_encoded(io.BytesIO(bad))
+            assert info.value.offset == 14
 
 
 def test_unsorted_dictionary_is_rejected():

@@ -8,9 +8,9 @@ import pytest
 import support
 from colcodec import (
     ColumnStats,
-    DecisionScheme,
     EmptyColumnError,
     HeuristicParams,
+    SchemeKind,
     compute_stats,
     decide_scheme,
     optimal_cluster_block_size,
@@ -31,7 +31,6 @@ def test_stats_of_prefix_heavy_column():
         is_sequential=False,
         leading_run=4,
         max_freq=4,
-        avg_freq=1.6,
         sparsity=2.5,
         avg_repetition=1.6,
     )
@@ -55,7 +54,7 @@ def test_single_row_is_neither_sequential_nor_compressible():
     assert stats.n == stats.distinct == stats.leading_run == 1
     assert stats.is_sorted
     assert not stats.is_sequential
-    assert decision_for([5]).scheme is DecisionScheme.NO_COMPRESSION
+    assert decision_for([5]).scheme is SchemeKind.RAW
 
 
 def test_stats_reject_empty_column():
@@ -64,23 +63,23 @@ def test_stats_reject_empty_column():
 
 
 def test_all_distinct_unordered_column_stays_raw():
-    assert decision_for([3, 1, 2]).scheme is DecisionScheme.NO_COMPRESSION
+    assert decision_for([3, 1, 2]).scheme is SchemeKind.RAW
 
 
 def test_sequential_column_goes_affine():
-    assert decision_for([1, 2, 3, 4]).scheme is DecisionScheme.AFFINE_RLE
-    assert decision_for([9, 8, 7]).scheme is DecisionScheme.AFFINE_RLE
+    assert decision_for([1, 2, 3, 4]).scheme is SchemeKind.AFFINE
+    assert decision_for([9, 8, 7]).scheme is SchemeKind.AFFINE
 
 
 def test_sorted_column_goes_rle():
-    assert decision_for([0, 0, 1, 2, 2, 2]).scheme is DecisionScheme.RLE
+    assert decision_for([0, 0, 1, 2, 2, 2]).scheme is SchemeKind.RLE
 
 
 def test_long_leading_run_goes_prefix():
-    assert decision_for([4, 4, 4, 4, 9, 1, 7, 2]).scheme is DecisionScheme.PREFIX
+    assert decision_for([4, 4, 4, 4, 9, 1, 7, 2]).scheme is SchemeKind.PREFIX
     # a run of exactly 2 is not long enough
     short = [4, 4, 9, 1, 7, 2]
-    assert decision_for(short).scheme is not DecisionScheme.PREFIX
+    assert decision_for(short).scheme is not SchemeKind.PREFIX
 
 
 def sparse_column():
@@ -94,14 +93,14 @@ def test_dominated_column_goes_sparse():
     ids = sparse_column()
     stats = compute_stats(ids)
     assert stats.sparsity == pytest.approx(16.5)
-    assert decision_for(ids).scheme is DecisionScheme.SPARSE
+    assert decision_for(ids).scheme is SchemeKind.SPARSE
 
 
 def test_raising_x_pushes_the_sparse_column_down_the_chain():
     ids = sparse_column()
     # sparsity 16.5 no longer clears the bar; avg repetition 64/33 < 2 either
     decision = decision_for(ids, HeuristicParams(x=20.0))
-    assert decision.scheme is DecisionScheme.NO_COMPRESSION
+    assert decision.scheme is SchemeKind.RAW
 
 
 def clustered_column():
@@ -119,7 +118,7 @@ def test_repetitive_column_goes_cluster_when_coverage_clears_z():
     assert stats.avg_repetition > 2
 
     decision = decision_for(ids)
-    assert decision.scheme is DecisionScheme.CLUSTER
+    assert decision.scheme is SchemeKind.CLUSTER
     best = optimal_cluster_block_size(ids)
     assert decision.block_size == best.b == 2
     assert decision.cluster_objective == best
@@ -130,7 +129,7 @@ def test_repetitive_column_goes_cluster_when_coverage_clears_z():
 def test_raising_z_flips_the_same_column_to_indirect():
     ids = clustered_column()
     decision = decision_for(ids, HeuristicParams(z=0.8))
-    assert decision.scheme is DecisionScheme.INDIRECT
+    assert decision.scheme is SchemeKind.INDIRECT
     assert decision.block_size == optimal_indirect_block_size(ids).b
     assert decision.entropy_objective is not None
     assert decision.cluster_coverage == pytest.approx(0.75)
@@ -140,13 +139,13 @@ def test_low_repetition_column_stays_raw():
     ids = [0, 2, 1, 3, 0, 2]  # distinct 4 of 6 rows, avg repetition 1.5
     stats = compute_stats(ids)
     assert stats.avg_repetition < 2
-    assert decision_for(ids).scheme is DecisionScheme.NO_COMPRESSION
+    assert decision_for(ids).scheme is SchemeKind.RAW
 
 
 def test_lowering_y_admits_the_same_column():
     ids = [0, 2, 1, 3, 0, 2]
     decision = decision_for(ids, HeuristicParams(y=1.25))
-    assert decision.scheme in (DecisionScheme.CLUSTER, DecisionScheme.INDIRECT)
+    assert decision.scheme in (SchemeKind.CLUSTER, SchemeKind.INDIRECT)
 
 
 def test_branch_order_prefers_earlier_matches():
@@ -154,13 +153,13 @@ def test_branch_order_prefers_earlier_matches():
     ids = [0] * 60 + list(range(1, 16))
     stats = compute_stats(ids)
     assert stats.is_sorted and stats.sparsity > 10
-    assert decision_for(ids).scheme is DecisionScheme.RLE
+    assert decision_for(ids).scheme is SchemeKind.RLE
 
     # unsorted, long leading run AND dominated: prefix wins
     ids = [0] * 60 + list(range(15, 0, -1))
     stats = compute_stats(ids)
     assert not stats.is_sorted and stats.leading_run > 2 and stats.sparsity > 10
-    assert decision_for(ids).scheme is DecisionScheme.PREFIX
+    assert decision_for(ids).scheme is SchemeKind.PREFIX
 
 
 def test_params_are_validated():
@@ -186,7 +185,7 @@ def test_decision_is_deterministic_across_families():
             first = decision_for(ids)
             second = decision_for(list(ids))
             assert first == second
-            if first.scheme in (DecisionScheme.CLUSTER, DecisionScheme.INDIRECT):
+            if first.scheme in (SchemeKind.CLUSTER, SchemeKind.INDIRECT):
                 assert first.block_size is not None and first.block_size >= 2
             else:
                 assert first.block_size is None
