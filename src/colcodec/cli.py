@@ -66,9 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     csv_in.add_argument("--header", action="store_true", help="skip the first row")
 
     params = argparse.ArgumentParser(add_help=False)
-    params.add_argument("--x", type=float, default=10.0, help="sparsity threshold")
-    params.add_argument("--y", type=float, default=2.0, help="average-repetition threshold")
-    params.add_argument("--z", type=float, default=0.5, help="clustered-coverage threshold")
+    defaults = HeuristicParams()
+    params.add_argument("--x", type=float, default=defaults.x, help="sparsity threshold")
+    params.add_argument("--y", type=float, default=defaults.y, help="average-repetition threshold")
+    params.add_argument("--z", type=float, default=defaults.z, help="clustered-coverage threshold")
     params.add_argument(
         "--sqrt-bound",
         action="store_true",
@@ -119,7 +120,7 @@ def _params(args) -> HeuristicParams:
     return HeuristicParams(x=args.x, y=args.y, z=args.z)
 
 
-def _optimal_block_size(kind: SchemeKind, ids: Sequence[int], sqrt_bound: bool = False) -> int:
+def _optimal_block_size(kind: SchemeKind, ids: Sequence[int], sqrt_bound: bool) -> int:
     """The optimizer's block size for cluster or indirect; 2 for a single row."""
     if len(ids) < 2:
         return 2
@@ -270,8 +271,14 @@ def _verification_checks(
     stats = heuristics.compute_stats(ids)
     checks: list[tuple[str, bool]] = []
 
+    sweep = optimizer.cluster_sweep(ids, sqrt_bound=sqrt_bound) if n >= 2 else []
+    entropy = optimizer.entropy_sweep(ids, sqrt_bound=sqrt_bound) if n >= 2 else []
+    block_sizes = {  # 2 for a single row
+        SchemeKind.CLUSTER: optimizer.best_cluster(sweep).b if sweep else 2,
+        SchemeKind.INDIRECT: optimizer.best_entropy(entropy).b if entropy else 2,
+    }
     plans = [
-        (kind, _optimal_block_size(kind, ids) if CODECS[kind].blocked else None)
+        (kind, block_sizes.get(kind))
         for kind in SchemeKind
         if kind is not SchemeKind.AFFINE or stats.is_sequential
     ]
@@ -311,7 +318,6 @@ def _verification_checks(
         checks.append((f"scan equivalence {kind.value}", scans_ok))
 
     if n >= 2:
-        sweep = optimizer.cluster_sweep(ids, sqrt_bound=sqrt_bound)
         oracle_f: dict[int, int] = {}
         for objective in sweep:
             oracle_s = optimizer.clustered_block_count_oracle(ids, objective.b)
@@ -326,7 +332,6 @@ def _verification_checks(
             )
         )
 
-        entropy = optimizer.entropy_sweep(ids, sqrt_bound=sqrt_bound)
         oracle_h = {o.b: optimizer.mean_block_entropy_oracle(ids, o.b) for o in entropy}
         for objective in entropy:
             checks.append(

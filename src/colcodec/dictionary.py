@@ -36,7 +36,7 @@ __all__ = [
 
 def id_width_bits(count: int) -> int:
     """Bits needed to address ``count`` dictionary slots, never less than 1."""
-    return max(1, (count - 1).bit_length())
+    return (count - 1).bit_length() or 1
 
 
 @dataclass(frozen=True)

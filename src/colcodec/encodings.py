@@ -19,8 +19,8 @@ breakdown, interval scan, and the payload it packs into a column file.
 
 Logical sizes are tracked in bits: every stored ID costs the dictionary ID
 width, indirect local IDs cost their local width, counts and lengths cost 64
-bits, bit vectors cost one bit per entry. ``encoded_size_breakdown`` exposes
-the per-component terms; ``encoded_size_bits`` is their sum.
+bits, bit vectors cost one bit per entry. ``encoded_size_breakdown`` tallies
+them by the field names ``pack`` writes; ``encoded_size_bits`` is their sum.
 
 ``scan_id_range`` finds the row positions whose ID falls in an interval
 without materializing the whole array: runs and single-valued blocks are
@@ -66,6 +66,8 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .fileio import _BitReader, _BitWriter
+
+    FieldSink = Union[_BitWriter, "_SizeTally"]
 
 __all__ = [
     "SchemeKind",
@@ -252,9 +254,8 @@ def _scan_raw(p: ValueIdArray, lo: int | None, hi: int | None) -> list[int]:
     return [i for i, v in enumerate(p.ids) if hit(v)]
 
 
-def _pack_raw(p: ValueIdArray, w: int, bits: _BitWriter) -> list[int]:
-    bits.write_many(p.ids, w)
-    return []
+def _pack_raw(p: ValueIdArray, w: int, out: FieldSink) -> None:
+    out.bits("ids", p.ids, w)
 
 
 def _unpack_raw(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> ValueIdArray:
@@ -276,10 +277,6 @@ def decode_prefix(encoded: PrefixEncoded) -> list[int]:
     return [encoded.prefix_id] * encoded.prefix_count + list(encoded.rest)
 
 
-def _prefix_sizes(p: PrefixEncoded, w: int) -> dict[str, int]:
-    return {"prefix_count": COUNT_BITS, "prefix_id": w, "rest": len(p.rest) * w}
-
-
 def _scan_prefix(p: PrefixEncoded, lo: int | None, hi: int | None) -> list[int]:
     hit = _hit(lo, hi)
     out = list(range(p.prefix_count)) if hit(p.prefix_id) else []
@@ -287,10 +284,10 @@ def _scan_prefix(p: PrefixEncoded, lo: int | None, hi: int | None) -> list[int]:
     return out
 
 
-def _pack_prefix(p: PrefixEncoded, w: int, bits: _BitWriter) -> list[int]:
-    bits.write(p.prefix_id, w)
-    bits.write_many(p.rest, w)
-    return [p.prefix_count]
+def _pack_prefix(p: PrefixEncoded, w: int, out: FieldSink) -> None:
+    out.u64s("prefix_count", [p.prefix_count])
+    out.bits("prefix_id", [p.prefix_id], w)
+    out.bits("rest", p.rest, w)
 
 
 def _unpack_prefix(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> PrefixEncoded:
@@ -318,11 +315,6 @@ def decode_rle(encoded: RleEncoded) -> list[int]:
     return out
 
 
-def _rle_sizes(p: RleEncoded, w: int) -> dict[str, int]:
-    r = len(p.runs)
-    return {"run_count": COUNT_BITS, "run_lengths": r * COUNT_BITS, "run_values": r * w}
-
-
 def _scan_rle(p: RleEncoded, lo: int | None, hi: int | None) -> list[int]:
     hit = _hit(lo, hi)
     out: list[int] = []
@@ -334,9 +326,10 @@ def _scan_rle(p: RleEncoded, lo: int | None, hi: int | None) -> list[int]:
     return out
 
 
-def _pack_rle(p: RleEncoded, w: int, bits: _BitWriter) -> list[int]:
-    bits.write_many((v for v, _ in p.runs), w)
-    return [len(p.runs), *(c for _, c in p.runs)]
+def _pack_rle(p: RleEncoded, w: int, out: FieldSink) -> None:
+    out.u64s("run_count", [len(p.runs)])
+    out.u64s("run_lengths", [c for _, c in p.runs])
+    out.bits("run_values", [v for v, _ in p.runs], w)
 
 
 def _unpack_rle(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> RleEncoded:
@@ -383,10 +376,6 @@ def decode_sparse(encoded: SparseEncoded) -> list[int]:
     ]
 
 
-def _sparse_sizes(p: SparseEncoded, w: int) -> dict[str, int]:
-    return {"dominant_id": w, "positions": len(p.positions), "residual": len(p.residual) * w}
-
-
 def _scan_sparse(p: SparseEncoded, lo: int | None, hi: int | None) -> list[int]:
     hit = _hit(lo, hi)
     dominant_hits = hit(p.dominant_id)
@@ -401,11 +390,10 @@ def _scan_sparse(p: SparseEncoded, lo: int | None, hi: int | None) -> list[int]:
     return out
 
 
-def _pack_sparse(p: SparseEncoded, w: int, bits: _BitWriter) -> list[int]:
-    bits.write(p.dominant_id, w)
-    bits.write_many(p.positions.bits, 1)
-    bits.write_many(p.residual, w)
-    return []
+def _pack_sparse(p: SparseEncoded, w: int, out: FieldSink) -> None:
+    out.bits("dominant_id", [p.dominant_id], w)
+    out.bits("positions", p.positions.bits, 1)
+    out.bits("residual", p.residual, w)
 
 
 def _unpack_sparse(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> SparseEncoded:
@@ -464,11 +452,6 @@ def decode_cluster(encoded: ClusterEncoded) -> list[int]:
     return out
 
 
-def _cluster_sizes(p: ClusterEncoded, w: int) -> dict[str, int]:
-    s = p.flags.popcount()
-    return {"flags": len(p.flags), "id_payload": (p.length - s * (p.block_size - 1)) * w}
-
-
 def _scan_cluster(p: ClusterEncoded, lo: int | None, hi: int | None) -> list[int]:
     hit = _hit(lo, hi)
     out: list[int] = []
@@ -490,11 +473,10 @@ def _scan_cluster(p: ClusterEncoded, lo: int | None, hi: int | None) -> list[int
     return out
 
 
-def _pack_cluster(p: ClusterEncoded, w: int, bits: _BitWriter) -> list[int]:
-    bits.write_many(p.flags.bits, 1)
-    bits.write_many(p.singles, w)
-    bits.write_many(p.uncompressed, w)
-    return []
+def _pack_cluster(p: ClusterEncoded, w: int, out: FieldSink) -> None:
+    out.bits("flags", p.flags.bits, 1)
+    out.bits("id_payload", p.singles, w)
+    out.bits("id_payload", p.uncompressed, w)
 
 
 def _unpack_cluster(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> ClusterEncoded:
@@ -551,22 +533,6 @@ def decode_indirect(encoded: IndirectEncoded) -> list[int]:
     return out
 
 
-def _indirect_sizes(p: IndirectEncoded, w: int) -> dict[str, int]:
-    indirect = [b for b in p.blocks if isinstance(b, IndirectBlock)]
-    return {
-        "indirect_count": COUNT_BITS,
-        "local_dict_counts": len(indirect) * COUNT_BITS,
-        "block_tags": len(p.blocks),
-        "local_dicts": sum(len(b.local_dictionary) for b in indirect) * w,
-        "block_payload": sum(
-            len(b.local_ids) * id_width_bits(len(b.local_dictionary))
-            if isinstance(b, IndirectBlock)
-            else len(b.ids) * w
-            for b in p.blocks
-        ),
-    }
-
-
 def _scan_indirect(p: IndirectEncoded, lo: int | None, hi: int | None) -> list[int]:
     out: list[int] = []
     start = 0
@@ -594,16 +560,19 @@ def _scan_indirect(p: IndirectEncoded, lo: int | None, hi: int | None) -> list[i
     return out
 
 
-def _pack_indirect(p: IndirectEncoded, w: int, bits: _BitWriter) -> list[int]:
-    indirect = [b for b in p.blocks if isinstance(b, IndirectBlock)]
-    bits.write_many((isinstance(block, IndirectBlock) for block in p.blocks), 1)
-    for block in p.blocks:
-        if isinstance(block, IndirectBlock):
-            bits.write_many(block.local_dictionary, w)
-            bits.write_many(block.local_ids, id_width_bits(len(block.local_dictionary)))
+def _pack_indirect(p: IndirectEncoded, w: int, out: FieldSink) -> None:
+    tags = [isinstance(block, IndirectBlock) for block in p.blocks]
+    indirect = [block for block, tagged in zip(p.blocks, tags) if tagged]
+    out.u64s("indirect_count", [len(indirect)])
+    out.u64s("local_dict_counts", [len(b.local_dictionary) for b in indirect])
+    out.bits("block_tags", tags, 1)
+    out.bits("local_dicts", [], w)  # named before block_payload, even when no block pays
+    for block, tagged in zip(p.blocks, tags):
+        if tagged:
+            out.bits("local_dicts", block.local_dictionary, w)
+            out.bits("block_payload", block.local_ids, id_width_bits(len(block.local_dictionary)))
         else:
-            bits.write_many(block.ids, w)
-    return [len(indirect), *(len(b.local_dictionary) for b in indirect)]
+            out.bits("block_payload", block.ids, w)
 
 
 def _unpack_indirect(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> IndirectEncoded:
@@ -683,10 +652,9 @@ def _scan_affine(p: AffineEncoded, lo: int | None, hi: int | None) -> list[int]:
     return list(range(row_lo, row_hi + 1))
 
 
-def _pack_affine(p: AffineEncoded, w: int, bits: _BitWriter) -> list[int]:
-    bits.write(p.start_id, w)
-    bits.write(0 if p.step == 1 else 1, 1)
-    return []
+def _pack_affine(p: AffineEncoded, w: int, out: FieldSink) -> None:
+    out.bits("start_id", [p.start_id], w)
+    out.bits("step", [0 if p.step == 1 else 1], 1)
 
 
 def _unpack_affine(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> AffineEncoded:
@@ -709,11 +677,13 @@ def _unpack_affine(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> A
 class Codec:
     """Everything one scheme knows about its layout.
 
-    ``encode`` takes (ids, block size, ID width); ``sizes`` and ``pack`` take
-    the payload and the ID width; ``scan`` takes closed ID bounds, None
-    meaning unbounded. ``pack`` writes the packed region and returns the u64
-    counts region; ``unpack`` reads both back from a bit reader positioned
-    at the counts, given (rows, block size, dictionary size, ID width).
+    ``encode`` takes (ids, block size, ID width); ``scan`` takes closed ID
+    bounds, None meaning unbounded. ``pack`` takes the payload, the ID width
+    and a field sink, and names every field it writes, even an empty one:
+    ``u64s(name, values)`` for the counts region, ``bits(name, values,
+    width)`` for the packed region. The breakdown's keys are these names.
+    ``unpack`` reads both regions back from a bit reader positioned at the
+    counts, given (rows, block size, dictionary size, ID width).
     """
 
     kind: SchemeKind
@@ -722,9 +692,8 @@ class Codec:
     payload_type: type
     encode: Callable[[Sequence[int], Any, int], Any]
     decode: Callable[[Any], list[int]]
-    sizes: Callable[[Any, int], dict[str, int]]
     scan: Callable[[Any, int | None, int | None], list[int]]
-    pack: Callable[[Any, int, _BitWriter], list[int]]
+    pack: Callable[[Any, int, FieldSink], None]
     unpack: Callable[[_BitReader, int, int, int, int], Any]
 
 
@@ -733,25 +702,25 @@ CODECS: dict[SchemeKind, Codec] = {
     for codec in (
         Codec(SchemeKind.RAW, 0, False, ValueIdArray,
               _encode_raw, lambda p: list(p.ids),
-              lambda p, w: {"ids": len(p.ids) * w}, _scan_raw, _pack_raw, _unpack_raw),
+              _scan_raw, _pack_raw, _unpack_raw),
         Codec(SchemeKind.PREFIX, 1, False, PrefixEncoded,
               lambda ids, b, w: encode_prefix(ids), decode_prefix,
-              _prefix_sizes, _scan_prefix, _pack_prefix, _unpack_prefix),
+              _scan_prefix, _pack_prefix, _unpack_prefix),
         Codec(SchemeKind.RLE, 2, False, RleEncoded,
               lambda ids, b, w: encode_rle(ids), decode_rle,
-              _rle_sizes, _scan_rle, _pack_rle, _unpack_rle),
+              _scan_rle, _pack_rle, _unpack_rle),
         Codec(SchemeKind.SPARSE, 3, False, SparseEncoded,
               lambda ids, b, w: encode_sparse(ids), decode_sparse,
-              _sparse_sizes, _scan_sparse, _pack_sparse, _unpack_sparse),
+              _scan_sparse, _pack_sparse, _unpack_sparse),
         Codec(SchemeKind.CLUSTER, 4, True, ClusterEncoded,
               lambda ids, b, w: encode_cluster(ids, b), decode_cluster,
-              _cluster_sizes, _scan_cluster, _pack_cluster, _unpack_cluster),
+              _scan_cluster, _pack_cluster, _unpack_cluster),
         Codec(SchemeKind.INDIRECT, 5, True, IndirectEncoded,
               encode_indirect, decode_indirect,
-              _indirect_sizes, _scan_indirect, _pack_indirect, _unpack_indirect),
+              _scan_indirect, _pack_indirect, _unpack_indirect),
         Codec(SchemeKind.AFFINE, 6, False, AffineEncoded,
               lambda ids, b, w: encode_affine(ids), decode_affine,
-              lambda p, w: {"start_id": w, "step": 1}, _scan_affine, _pack_affine, _unpack_affine),
+              _scan_affine, _pack_affine, _unpack_affine),
     )
 }
 _CODEC_OF_PAYLOAD = {codec.payload_type: codec for codec in CODECS.values()}
@@ -775,9 +744,21 @@ def decode_array(encoded: EncodedColumn) -> list[int]:
     return encoded.codec.decode(encoded.payload)
 
 
+class _SizeTally(dict):
+    """A field sink that adds up each named field's bits instead of storing them."""
+
+    def u64s(self, name: str, values: Sequence[int]) -> None:
+        self.bits(name, values, COUNT_BITS)
+
+    def bits(self, name: str, values: Sequence[int], width: int) -> None:
+        self[name] = self.get(name, 0) + len(values) * width
+
+
 def encoded_size_breakdown(encoded: EncodedColumn) -> dict[str, int]:
-    """Per-component logical size in bits; keys are stable per scheme."""
-    return encoded.codec.sizes(encoded.payload, encoded.id_width_bits)
+    """Logical size in bits of each field the codec's ``pack`` writes, by name."""
+    tally = _SizeTally()
+    encoded.codec.pack(encoded.payload, encoded.id_width_bits, tally)
+    return tally
 
 
 def encoded_size_bits(encoded: EncodedColumn) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import struct
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Sequence
 
 from .dictionary import Dictionary, id_width_bits
 from .encodings import CODECS, EncodedColumn, check_block_size
@@ -63,27 +63,29 @@ _CODEC_OF_TAG = {codec.tag: codec for codec in CODECS.values()}
 
 
 class _BitWriter:
-    """Packs values LSB-first within bytes."""
+    """Field sink for files: u64 counts, then values packed LSB-first within bytes."""
 
     def __init__(self) -> None:
+        self._counts = bytearray()
         self._bytes = bytearray()
         self._acc = 0
         self._pending = 0
 
-    def write(self, value: int, nbits: int) -> None:
-        self._acc |= (value & ((1 << nbits) - 1)) << self._pending
-        self._pending += nbits
-        while self._pending >= 8:
-            self._bytes.append(self._acc & 0xFF)
-            self._acc >>= 8
-            self._pending -= 8
+    def u64s(self, name: str, values: Sequence[int]) -> None:
+        self._counts += struct.pack(f"<{len(values)}Q", *values)
 
-    def write_many(self, values: Iterable[int], nbits: int) -> None:
+    def bits(self, name: str, values: Sequence[int], nbits: int) -> None:
+        mask = (1 << nbits) - 1
         for value in values:
-            self.write(value, nbits)
+            self._acc |= (value & mask) << self._pending
+            self._pending += nbits
+            while self._pending >= 8:
+                self._bytes.append(self._acc & 0xFF)
+                self._acc >>= 8
+                self._pending -= 8
 
     def getvalue(self) -> bytes:
-        out = bytearray(self._bytes)
+        out = self._counts + self._bytes
         if self._pending:
             out.append(self._acc & 0xFF)  # zero padding in the unused high bits
         return bytes(out)
@@ -147,10 +149,9 @@ def write_encoded(sink: BinaryIO, dictionary: Dictionary, encoded: EncodedColumn
         raw = value.encode("utf-8")
         buf += struct.pack("<I", len(raw))
         buf += raw
-    bits = _BitWriter()
-    for c in codec.pack(encoded.payload, encoded.id_width_bits, bits):
-        buf += struct.pack("<Q", c)
-    buf += bits.getvalue()
+    out = _BitWriter()
+    codec.pack(encoded.payload, encoded.id_width_bits, out)
+    buf += out.getvalue()
     sink.write(bytes(buf))
     return len(buf)
 

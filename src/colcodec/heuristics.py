@@ -23,8 +23,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import optimizer
-from .dictionary import ValueIdArray
+from .dictionary import ValueIdArray, run_lengths
 from .encodings import SchemeKind
 from .errors import EmptyColumnError
 from .optimizer import ClusterObjective, EntropyObjective
@@ -84,29 +86,21 @@ def compute_stats(array: ValueIdArray | Sequence[int]) -> ColumnStats:
     freqs = Counter(ids)
     distinct = len(freqs)
     max_freq = max(freqs.values())
-
-    leading_run = 1
-    while leading_run < n and ids[leading_run] == ids[0]:
-        leading_run += 1
-
-    is_sorted = True
-    ascending = descending = n >= 2
-    for i in range(1, n):
-        delta = ids[i] - ids[i - 1]
-        if delta < 0:
-            is_sorted = False
-        if delta != 1:
-            ascending = False
-        if delta != -1:
-            descending = False
+    # Runs are maximal: sorted iff run values strictly increase, and
+    # sequential iff every run is one row and every step is +1 (or every -1).
+    values, lengths = run_lengths(ids)
+    steps = np.diff(values)
+    is_sequential = n >= 2 and len(lengths) == n and (
+        bool((steps == 1).all()) or bool((steps == -1).all())
+    )
 
     avg_repetition = n / distinct
     return ColumnStats(
         n=n,
         distinct=distinct,
-        is_sorted=is_sorted,
-        is_sequential=ascending or descending,
-        leading_run=leading_run,
+        is_sorted=bool((steps > 0).all()),
+        is_sequential=is_sequential,
+        leading_run=int(lengths[0]),
         max_freq=max_freq,
         sparsity=max_freq / avg_repetition,
         avg_repetition=avg_repetition,

@@ -286,6 +286,32 @@ def test_analyze_runs_each_sweep_once(capsys, tmp_path, monkeypatch):
     assert calls == {"cluster_sweep": 1, "entropy_sweep": 1}
 
 
+@pytest.mark.parametrize("flags, cluster_b", [([], 64), (["--sqrt-bound"], 8)])
+def test_verify_sweeps_once_under_its_own_bound(capsys, tmp_path, monkeypatch, flags, cluster_b):
+    csv = write_csv(tmp_path, ["v7"] * 64)
+    calls = {"cluster_sweep": 0, "entropy_sweep": 0}
+    for name in calls:
+        sweep = getattr(colcodec.optimizer, name)
+
+        def counted(*args, _sweep=sweep, _name=name, **kwargs):
+            calls[_name] += 1
+            return _sweep(*args, **kwargs)
+
+        monkeypatch.setattr(colcodec.optimizer, name, counted)
+    block_sizes = {}
+    encode = colcodec.encodings.encode_array
+
+    def spied(array, scheme, block_size=None):
+        block_sizes[scheme] = block_size
+        return encode(array, scheme, block_size)
+
+    monkeypatch.setattr(colcodec.encodings, "encode_array", spied)
+    code, _, _ = run(capsys, ["verify", csv, *flags])
+    assert code == 0
+    assert calls == {"cluster_sweep": 1, "entropy_sweep": 1}
+    assert block_sizes[colcodec.encodings.SchemeKind.CLUSTER] == cluster_b
+
+
 @pytest.mark.parametrize(
     "data, line",
     [

@@ -252,6 +252,8 @@ def test_prefix_and_rle_breakdowns_count_their_fields():
         "prefix_id": 3,
         "rest": 9,
     }
+    p = encode_array(ValueIdArray(ids=[4, 4, 4], id_width_bits=3), SchemeKind.PREFIX)
+    assert encoded_size_breakdown(p) == {"prefix_count": COUNT_BITS, "prefix_id": 3, "rest": 0}
     r = encode_array(ValueIdArray(ids=[0, 0, 1, 2, 2, 2], id_width_bits=2), SchemeKind.RLE)
     assert encoded_size_breakdown(r) == {
         "run_count": COUNT_BITS,
@@ -272,9 +274,10 @@ def test_sparse_breakdown_counts_positions_and_residual():
 
 def test_indirect_breakdown_recomputes_per_block_costs():
     rng = np.random.default_rng(37)
-    for _ in range(40):
-        n = int(rng.integers(1, 300))
-        ids = support.family_column(rng, "uniform16", n)
+    columns = [
+        support.family_column(rng, "uniform16", int(rng.integers(1, 300))) for _ in range(40)
+    ]
+    for ids in columns + [list(range(8)) * 4]:  # in the last column no block pays
         w = id_width_bits(max(ids) + 1)
         array = ValueIdArray(ids=ids, id_width_bits=w)
         e = encode_array(array, SchemeKind.INDIRECT, block_size=8)
