@@ -64,15 +64,18 @@ from .heuristics import (
 from .optimizer import (
     ClusterObjective,
     EntropyObjective,
+    IndirectObjective,
     VisitCounter,
     best_cluster,
     best_entropy,
+    best_indirect,
     block_entropy,
     candidate_block_sizes,
     cluster_sweep,
     clustered_block_count,
     clustered_block_count_oracle,
     entropy_sweep,
+    indirect_size_sweep,
     mean_block_entropy,
     optimal_cluster_block_size,
     optimal_indirect_block_size,

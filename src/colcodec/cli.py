@@ -120,13 +120,14 @@ def _params(args) -> HeuristicParams:
     return HeuristicParams(x=args.x, y=args.y, z=args.z)
 
 
-def _optimal_block_size(kind: SchemeKind, ids: Sequence[int], sqrt_bound: bool) -> int:
+def _optimal_block_size(kind: SchemeKind, array: ValueIdArray, sqrt_bound: bool) -> int:
     """The optimizer's block size for cluster or indirect; 2 for a single row."""
-    if len(ids) < 2:
+    if len(array.ids) < 2:
         return 2
     if kind is SchemeKind.CLUSTER:
-        return optimizer.optimal_cluster_block_size(ids, sqrt_bound=sqrt_bound).b
-    return optimizer.optimal_indirect_block_size(ids, sqrt_bound=sqrt_bound).b
+        return optimizer.optimal_cluster_block_size(array.ids, sqrt_bound=sqrt_bound).b
+    sweep = optimizer.indirect_size_sweep(array.ids, array.id_width_bits, sqrt_bound=sqrt_bound)
+    return optimizer.best_indirect(sweep).b
 
 
 def _analyze_report(values: list[str], params: HeuristicParams, sqrt_bound: bool) -> dict:
@@ -136,16 +137,17 @@ def _analyze_report(values: list[str], params: HeuristicParams, sqrt_bound: bool
     if stats.n >= 2:
         cluster_trace = optimizer.cluster_sweep(array.ids, sqrt_bound=sqrt_bound)
         entropy_trace = optimizer.entropy_sweep(array.ids, sqrt_bound=sqrt_bound)
+        size_trace = optimizer.indirect_size_sweep(
+            array.ids, array.id_width_bits, sqrt_bound=sqrt_bound
+        )
         best_cluster = optimizer.best_cluster(cluster_trace)
         best_entropy = optimizer.best_entropy(entropy_trace)
-        sweeps = (cluster_trace, entropy_trace)
+        best_indirect = optimizer.best_indirect(size_trace)
+        sweeps = (cluster_trace, size_trace)
     else:
-        cluster_trace = []
-        entropy_trace = []
-        best_cluster = best_entropy = sweeps = None
-    decision = heuristics.decide_scheme(
-        stats, array.ids, params, sqrt_bound=sqrt_bound, sweeps=sweeps
-    )
+        cluster_trace = entropy_trace = size_trace = []
+        best_cluster = best_entropy = best_indirect = sweeps = None
+    decision = heuristics.decide_scheme(stats, array, params, sqrt_bound=sqrt_bound, sweeps=sweeps)
 
     def size_of(kind: SchemeKind, block_size: int | None = None) -> int:
         return encodings.encoded_size_bits(encodings.encode_array(array, kind, block_size))
@@ -156,9 +158,10 @@ def _analyze_report(values: list[str], params: HeuristicParams, sqrt_bound: bool
         "rle": size_of(SchemeKind.RLE),
         "sparse": size_of(SchemeKind.SPARSE),
         "cluster": size_of(SchemeKind.CLUSTER, best_cluster.b) if best_cluster else None,
-        "indirect": size_of(SchemeKind.INDIRECT, best_entropy.b) if best_entropy else None,
+        "indirect": best_indirect.bits if best_indirect else None,
         "affine": size_of(SchemeKind.AFFINE) if stats.is_sequential else None,
     }
+    smallest = min(bits for bits in sizes.values() if bits is not None)
 
     return {
         "column": {
@@ -184,10 +187,12 @@ def _analyze_report(values: list[str], params: HeuristicParams, sqrt_bound: bool
             "cluster_coverage": decision.cluster_coverage,
         },
         "sizes_bits": sizes,
+        "regret": sizes[decision.scheme.value] / smallest,
         "cluster_block_size": best_cluster.b if best_cluster else None,
         "indirect_block_size": best_entropy.b if best_entropy else None,
         "cluster_trace": [{"b": o.b, "s": o.s, "f": o.f} for o in cluster_trace],
         "entropy_trace": [{"b": o.b, "mean_entropy": o.mean_entropy} for o in entropy_trace],
+        "indirect_size_trace": [{"b": o.b, "bits": o.bits} for o in size_trace],
     }
 
 
@@ -205,7 +210,7 @@ def cmd_compress(args) -> int:
 
     if args.scheme == "auto":
         stats = heuristics.compute_stats(array.ids)
-        decision = heuristics.decide_scheme(stats, array.ids, params, sqrt_bound=args.sqrt_bound)
+        decision = heuristics.decide_scheme(stats, array, params, sqrt_bound=args.sqrt_bound)
         kind = decision.scheme
         block_size = decision.block_size
         print(f"params: x={params.x} y={params.y} z={params.z}")
@@ -218,7 +223,7 @@ def cmd_compress(args) -> int:
             encodings.check_block_size(args.block_size)
             block_size = args.block_size
         elif block_size is None:
-            block_size = _optimal_block_size(kind, array.ids, args.sqrt_bound)
+            block_size = _optimal_block_size(kind, array, args.sqrt_bound)
 
     encoded = encodings.encode_array(array, kind, block_size)
     with open(args.out, "wb") as f:
@@ -271,11 +276,14 @@ def _verification_checks(
     stats = heuristics.compute_stats(ids)
     checks: list[tuple[str, bool]] = []
 
-    sweep = optimizer.cluster_sweep(ids, sqrt_bound=sqrt_bound) if n >= 2 else []
-    entropy = optimizer.entropy_sweep(ids, sqrt_bound=sqrt_bound) if n >= 2 else []
+    sweep = entropy = size_trace = []
+    if n >= 2:
+        sweep = optimizer.cluster_sweep(ids, sqrt_bound=sqrt_bound)
+        entropy = optimizer.entropy_sweep(ids, sqrt_bound=sqrt_bound)
+        size_trace = optimizer.indirect_size_sweep(ids, array.id_width_bits, sqrt_bound=sqrt_bound)
     block_sizes = {  # 2 for a single row
         SchemeKind.CLUSTER: optimizer.best_cluster(sweep).b if sweep else 2,
-        SchemeKind.INDIRECT: optimizer.best_entropy(entropy).b if entropy else 2,
+        SchemeKind.INDIRECT: optimizer.best_indirect(size_trace).b if size_trace else 2,
     }
     plans = [
         (kind, block_sizes.get(kind))
@@ -344,6 +352,22 @@ def _verification_checks(
         oracle_min = min(oracle_h.values())
         checks.append(
             ("entropy optimizer matches oracle minimum", abs(best_h.mean_entropy - oracle_min) <= 1e-9)
+        )
+
+        oracle_bits: dict[int, int] = {}
+        for objective in size_trace:
+            encoded = encodings.encode_array(array, SchemeKind.INDIRECT, objective.b)
+            oracle_bits[objective.b] = encodings.encoded_size_bits(encoded)
+            checks.append(
+                (f"indirect size b={objective.b}", objective.bits == oracle_bits[objective.b])
+            )
+        best_i = optimizer.best_indirect(size_trace)
+        smallest_b = min(oracle_bits, key=oracle_bits.__getitem__)  # equal sizes: the first b
+        checks.append(
+            (
+                "indirect optimizer equals oracle argmin",
+                (best_i.b, best_i.bits) == (smallest_b, oracle_bits[smallest_b]),
+            )
         )
 
     return checks

@@ -8,7 +8,7 @@ The decision walks a fixed branch order; the first match wins:
 4. sparsity > x             -> sparse
 5. avg repetition > y       -> cluster when the optimizer's single-valued
                                blocks cover more than z of the rows, else
-                               indirect at the entropy optimizer's block size
+                               indirect at the exact-size optimum
 6. otherwise                -> no compression
 
 avg repetition is n / distinct, a value's mean frequency, and sparsity is
@@ -26,10 +26,10 @@ from typing import Sequence
 import numpy as np
 
 from . import optimizer
-from .dictionary import ValueIdArray, run_lengths
+from .dictionary import ValueIdArray, id_width_bits, run_lengths
 from .encodings import SchemeKind
 from .errors import EmptyColumnError
-from .optimizer import ClusterObjective, EntropyObjective
+from .optimizer import ClusterObjective, IndirectObjective
 
 __all__ = [
     "ColumnStats",
@@ -74,7 +74,7 @@ class SchemeDecision:
     params: HeuristicParams
     block_size: int | None = None
     cluster_objective: ClusterObjective | None = None
-    entropy_objective: EntropyObjective | None = None
+    indirect_objective: IndirectObjective | None = None
     cluster_coverage: float | None = None  # S * b / n at the optimal b
 
 
@@ -113,16 +113,17 @@ def decide_scheme(
     params: HeuristicParams = HeuristicParams(),
     *,
     sqrt_bound: bool = False,
-    sweeps: tuple[list[ClusterObjective], list[EntropyObjective]] | None = None,
+    sweeps: tuple[list[ClusterObjective], list[IndirectObjective]] | None = None,
 ) -> SchemeDecision:
     """Pick a scheme for the column; deterministic in (stats, ids, params).
 
-    ``sweeps``, when given, holds this column's cluster and entropy sweeps
-    under the same ``sqrt_bound``; the block sizes are then taken from them
-    instead of sweeping again.
+    ``sweeps``, when given, holds this column's cluster and indirect size
+    sweeps under the same ``sqrt_bound``; the block sizes are then taken
+    from them instead of sweeping again. Indirect sizes are taken at the
+    array's ID width, or at the width of its largest ID for a plain list.
     """
     ids = getattr(array, "ids", array)
-    cluster_trace, entropy_trace = sweeps or (None, None)
+    cluster_trace, indirect_trace = sweeps or (None, None)
 
     if stats.distinct == stats.n:
         scheme = SchemeKind.AFFINE if stats.is_sequential else SchemeKind.RAW
@@ -148,16 +149,17 @@ def decide_scheme(
                 cluster_objective=cluster,
                 cluster_coverage=coverage,
             )
-        entropy = optimizer.best_entropy(
-            entropy_trace or optimizer.entropy_sweep(ids, sqrt_bound=sqrt_bound)
+        width = getattr(array, "id_width_bits", None) or id_width_bits(max(ids) + 1)
+        indirect = optimizer.best_indirect(
+            indirect_trace or optimizer.indirect_size_sweep(ids, width, sqrt_bound=sqrt_bound)
         )
         return SchemeDecision(
             scheme=SchemeKind.INDIRECT,
             stats=stats,
             params=params,
-            block_size=entropy.b,
+            block_size=indirect.b,
             cluster_objective=cluster,
-            entropy_objective=entropy,
+            indirect_objective=indirect,
             cluster_coverage=coverage,
         )
     return SchemeDecision(scheme=SchemeKind.RAW, stats=stats, params=params)

@@ -11,12 +11,21 @@ its start first spends (b - r) % b rows finishing that straddling block
 rows close one single-valued block. Runs are maximal, so blocks never
 cluster across run boundaries.
 
-Indirect aims to minimize the mean b-ary block entropy: entropy is summed
-over full aligned blocks only (a trailing partial block contributes
-nothing) and divided by ceil(N/b) blocks, deliberately deflating the mean
-when the tail is short.
+Indirect's block size is the argmin of its exact encoded size. For each
+candidate, the full aligned blocks are reshaped to a (blocks, b) array and
+each row is sorted, so a row's distinct IDs k and run lengths c come from
+comparing neighbours. A block costs what ``encode_indirect`` stores for it:
+its local dictionary, local IDs and 64-bit local-dictionary count when that
+is strictly smaller than its IDs at global width W, else those IDs. The
+trailing partial block, one tag bit per block and the 64-bit indirect-block
+count are added.
 
-Ties break toward the smallest candidate in both sweeps; an array where no
+The paper's own indirect objective, the mean b-ary block entropy, is still
+reported: entropy is summed over full aligned blocks only (a trailing
+partial block contributes nothing) and divided by ceil(N/b) blocks, so a
+long partial tail deflates the mean. Its sweep uses the same sorted rows.
+
+Ties break toward the smallest candidate in every sweep; an array where no
 block ever clusters yields (b=2, F=0).
 """
 
@@ -30,12 +39,13 @@ from typing import Sequence
 import numpy as np
 
 from .dictionary import RunLengthView, ValueIdArray, run_lengths
-from .encodings import check_block_size
+from .encodings import COUNT_BITS, check_block_size
 from .errors import EmptyColumnError
 
 __all__ = [
     "ClusterObjective",
     "EntropyObjective",
+    "IndirectObjective",
     "VisitCounter",
     "candidate_block_sizes",
     "clustered_block_count",
@@ -49,6 +59,8 @@ __all__ = [
     "entropy_sweep",
     "best_entropy",
     "optimal_indirect_block_size",
+    "indirect_size_sweep",
+    "best_indirect",
 ]
 
 
@@ -63,6 +75,12 @@ class ClusterObjective:
 class EntropyObjective:
     b: int
     mean_entropy: float
+
+
+@dataclass(frozen=True)
+class IndirectObjective:
+    b: int
+    bits: int  # encoded_size_bits of indirect at this b
 
 
 class VisitCounter:
@@ -92,6 +110,19 @@ def candidate_block_sizes(n: int, sqrt_bound: bool = False) -> list[int]:
 
 def _ids_of(array: ValueIdArray | Sequence[int]) -> Sequence[int]:
     return getattr(array, "ids", array)
+
+
+def _sorted_blocks(ids: np.ndarray, block_size: int) -> np.ndarray:
+    """The full aligned blocks as a (blocks, block_size) array, each row sorted."""
+    full = len(ids) // block_size
+    return np.sort(ids[: full * block_size].reshape(full, block_size), axis=1)
+
+
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """True where a sorted row's run of equal IDs begins."""
+    starts = np.ones(rows.shape, dtype=bool)
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    return starts
 
 
 def _clustered_from_counts(counts: np.ndarray, block_size: int) -> int:
@@ -209,14 +240,24 @@ def entropy_sweep(
     sqrt_bound: bool = False,
     counter: VisitCounter | None = None,
 ) -> list[EntropyObjective]:
-    """Evaluate the mean block entropy for every candidate, ascending."""
-    ids = _ids_of(array)
-    candidates = candidate_block_sizes(len(ids), sqrt_bound)
+    """Evaluate the mean block entropy for every candidate, ascending.
+
+    Each sorted row of b IDs scores (b*log2 b - sum c*log2 c) / (b*log2 b)
+    over its run lengths c, which is ``block_entropy`` of that block.
+    """
+    ids = np.asarray(_ids_of(array), dtype=np.int64)
+    n = len(ids)
     objectives = []
-    for b in candidates:
-        objectives.append(mean_block_entropy(ids, b))
+    for b in candidate_block_sizes(n, sqrt_bound):
+        rows = _sorted_blocks(ids, b)
+        starts = np.flatnonzero(_run_starts(rows))
+        c = np.diff(starts, append=rows.size)
+        scale = b * (b.bit_length() - 1)  # b * log2 b, exact for a power of two
+        per_row = scale - np.bincount(starts // b, weights=c * np.log2(c), minlength=len(rows))
+        total = float((per_row / scale).sum())
+        objectives.append(EntropyObjective(b=b, mean_entropy=total / -(-n // b)))
         if counter:
-            counter.add((len(ids) // b) * b)  # rows inside scored blocks
+            counter.add(rows.size)  # rows inside scored blocks
     return objectives
 
 
@@ -231,5 +272,46 @@ def optimal_indirect_block_size(
     sqrt_bound: bool = False,
     counter: VisitCounter | None = None,
 ) -> EntropyObjective:
-    """argmin of the mean block entropy; the smallest candidate wins ties."""
+    """argmin of the mean block entropy; the smallest candidate wins ties.
+
+    This is the paper's objective, reported by ``analyze``; ``compress``
+    takes indirect's block size from ``indirect_size_sweep`` instead.
+    """
     return best_entropy(entropy_sweep(array, sqrt_bound=sqrt_bound, counter=counter))
+
+
+def _indirect_block_bits(k: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """Bits of blocks of ``rows`` rows holding k distinct IDs, as encode_indirect stores them."""
+    local_width = np.maximum(np.frexp(k - 1)[1], 1)  # id_width_bits(k), elementwise
+    local = k * width + rows * local_width
+    direct = rows * width
+    return np.where(local < direct, local + COUNT_BITS, direct)
+
+
+def indirect_size_sweep(
+    array: ValueIdArray | Sequence[int], width: int, *, sqrt_bound: bool = False
+) -> list[IndirectObjective]:
+    """Exact indirect size in bits at every candidate, ascending.
+
+    ``width`` is the global ID width W the column is encoded at. Each value
+    equals ``encoded_size_bits(encode_array(..., SchemeKind.INDIRECT, b))``
+    without building a block.
+    """
+    ids = np.asarray(_ids_of(array), dtype=np.int64)
+    n = len(ids)
+    objectives = []
+    for b in candidate_block_sizes(n, sqrt_bound):
+        rows = _sorted_blocks(ids, b)
+        k = np.count_nonzero(_run_starts(rows), axis=1)
+        bits = int(_indirect_block_bits(k, b, width).sum())
+        tail = ids[rows.size :]
+        if tail.size:
+            bits += int(_indirect_block_bits(np.unique(tail).size, tail.size, width))
+        bits += COUNT_BITS + -(-n // b)  # the indirect-block count, one tag bit per block
+        objectives.append(IndirectObjective(b=b, bits=bits))
+    return objectives
+
+
+def best_indirect(sweep: Sequence[IndirectObjective]) -> IndirectObjective:
+    """The sweep's smallest size; of equal ones, the first (smallest b)."""
+    return min(sweep, key=lambda o: o.bits)

@@ -8,13 +8,11 @@ everything else is exact equality.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import random
 import time
 
 import numpy as np
-import pytest
 
 import support
 from colcodec import (
@@ -49,32 +47,6 @@ SWEEP_BUDGET_S = 10.0  # guarantee 10, million-row sweep
 VISIT_FACTOR = 2.0  # guarantee 10, visits <= factor * n * log2(n)
 ENTROPY_TOL = 1e-9  # guarantee 6, cross-route comparisons
 UNIT_BLOCK_TOL = 1e-12  # guarantee 6, b distinct values must score 1
-
-
-@pytest.fixture(scope="module")
-def search_corpus():
-    """Exhaustive binary arrays (n <= 12) plus 500 seeded columns (n <= 4096)."""
-    arrays = []
-    for n in range(1, 13):
-        for bits in itertools.product((0, 1), repeat=n):
-            arrays.append(list(bits))
-    rng = np.random.default_rng(20240801)
-    for _ in range(500):
-        n = int(rng.integers(2, 4097))
-        family = support.FAMILIES[int(rng.integers(len(support.FAMILIES)))]
-        arrays.append(support.family_column(rng, family, n))
-    return arrays
-
-
-@pytest.fixture(scope="module")
-def wide_corpus():
-    """Columns large enough that 1024 is always a candidate block size."""
-    rng = np.random.default_rng(20240802)
-    return [
-        support.family_column(rng, family, n)
-        for n in (2048, 2731, 4096)
-        for family in support.FAMILIES
-    ]
 
 
 def test_01_every_scheme_round_trips_across_families():

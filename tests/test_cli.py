@@ -44,10 +44,12 @@ def test_analyze_reports_stats_decision_and_sizes(capsys, tmp_path):
         "stats",
         "decision",
         "sizes_bits",
+        "regret",
         "cluster_block_size",
         "indirect_block_size",
         "cluster_trace",
         "entropy_trace",
+        "indirect_size_trace",
     ]
     assert report["column"] == {"rows": 6, "distinct_values": 3, "id_width_bits": 2}
     assert report["params"] == {"x": 10.0, "y": 2.0, "z": 0.5, "sqrt_bound": False}
@@ -56,6 +58,9 @@ def test_analyze_reports_stats_decision_and_sizes(capsys, tmp_path):
     assert report["sizes_bits"]["raw"] == 12
     assert report["sizes_bits"]["cluster"] == 11
     assert report["sizes_bits"]["affine"] is None
+    # rle is chosen at 262 bits, cluster would store 11
+    assert report["sizes_bits"]["rle"] == 262
+    assert report["regret"] == 262 / 11
     assert report["cluster_block_size"] == 2
     assert [t["b"] for t in report["cluster_trace"]] == [2, 4]
     assert report["cluster_trace"][0] == {"b": 2, "s": 2, "f": 2}
@@ -78,6 +83,7 @@ def test_analyze_single_row_skips_the_optimizers(capsys, tmp_path):
     assert report["sizes_bits"]["indirect"] is None
     assert report["cluster_block_size"] is None
     assert report["cluster_trace"] == [] and report["entropy_trace"] == []
+    assert report["indirect_size_trace"] == []
 
 
 def test_analyze_echoes_custom_params(capsys, tmp_path):
@@ -115,6 +121,20 @@ def test_compress_cluster_uses_the_optimizer_block_size(capsys, tmp_path):
     code, out, _ = run(capsys, ["compress", csv, "--out", str(out_file), "--scheme", "cluster"])
     assert code == 0
     assert "scheme=cluster block_size=4" in out
+
+
+CLUSTERED_VALUES = [f"v{i}" for i in [1, 2] + [3] * 8 + [4] * 8 + [5, 4, 3, 2] + [6] * 8 + [2, 1]]
+
+
+@pytest.mark.parametrize("flags", [["--z", "0.8"], ["--scheme", "indirect"]])
+def test_compress_indirect_uses_the_exact_size_optimum(capsys, tmp_path, flags):
+    # bits by block size: 932, 469, 218, 222, 161; the entropy optimum is b=2
+    csv = write_csv(tmp_path, CLUSTERED_VALUES)
+    out_file = tmp_path / "col.bcc1"
+    code, out, _ = run(capsys, ["compress", csv, "--out", str(out_file), *flags])
+    assert code == 0
+    assert "scheme=indirect block_size=32" in out
+    assert "encoded_bits=161 " in out
 
 
 def test_compress_explicit_block_size_wins(capsys, tmp_path):
@@ -242,6 +262,8 @@ def test_verify_passes_on_a_healthy_column(capsys, tmp_path):
     assert "clustered blocks b=2" in out
     assert "cluster optimizer equals oracle argmax" in out
     assert "entropy optimizer matches oracle minimum" in out
+    assert "indirect size b=2" in out
+    assert "indirect optimizer equals oracle argmin" in out
     assert "FAIL" not in out
 
 
@@ -269,9 +291,8 @@ def test_verify_detects_a_broken_decoder(capsys, tmp_path, monkeypatch):
 
 
 def test_analyze_runs_each_sweep_once(capsys, tmp_path, monkeypatch):
-    ids = [1, 2] + [3] * 8 + [4] * 8 + [5, 4, 3, 2] + [6] * 8 + [2, 1]
-    csv = write_csv(tmp_path, [f"v{i}" for i in ids])
-    calls = {"cluster_sweep": 0, "entropy_sweep": 0}
+    csv = write_csv(tmp_path, CLUSTERED_VALUES)
+    calls = {"cluster_sweep": 0, "entropy_sweep": 0, "indirect_size_sweep": 0}
     for name in calls:
         sweep = getattr(colcodec.optimizer, name)
 
@@ -283,13 +304,40 @@ def test_analyze_runs_each_sweep_once(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, ["analyze", csv, "--z", "0.8"])
     assert code == 0
     assert json.loads(out)["decision"]["scheme"] == "indirect"
-    assert calls == {"cluster_sweep": 1, "entropy_sweep": 1}
+    assert calls == {"cluster_sweep": 1, "entropy_sweep": 1, "indirect_size_sweep": 1}
+
+
+def test_analyze_reads_the_indirect_size_from_the_sweep(capsys, tmp_path, monkeypatch):
+    csv = write_csv(tmp_path, CLUSTERED_VALUES)
+    encode = colcodec.encodings.encode_array
+    encoded_schemes = []
+
+    def spied(array, scheme, block_size=None):
+        encoded_schemes.append(scheme)
+        return encode(array, scheme, block_size)
+
+    monkeypatch.setattr(colcodec.encodings, "encode_array", spied)
+    code, out, _ = run(capsys, ["analyze", csv, "--z", "0.8"])
+    assert code == 0
+    assert colcodec.encodings.SchemeKind.INDIRECT not in encoded_schemes
+    report = json.loads(out)
+    assert report["indirect_size_trace"] == [
+        {"b": 2, "bits": 932},
+        {"b": 4, "bits": 469},
+        {"b": 8, "bits": 218},
+        {"b": 16, "bits": 222},
+        {"b": 32, "bits": 161},
+    ]
+    assert report["sizes_bits"]["indirect"] == 161
+    assert report["decision"]["block_size"] == 32
+    # the paper's entropy objective is still reported beside the exact pick
+    assert report["indirect_block_size"] == 2
 
 
 @pytest.mark.parametrize("flags, cluster_b", [([], 64), (["--sqrt-bound"], 8)])
 def test_verify_sweeps_once_under_its_own_bound(capsys, tmp_path, monkeypatch, flags, cluster_b):
     csv = write_csv(tmp_path, ["v7"] * 64)
-    calls = {"cluster_sweep": 0, "entropy_sweep": 0}
+    calls = {"cluster_sweep": 0, "entropy_sweep": 0, "indirect_size_sweep": 0}
     for name in calls:
         sweep = getattr(colcodec.optimizer, name)
 
@@ -302,14 +350,16 @@ def test_verify_sweeps_once_under_its_own_bound(capsys, tmp_path, monkeypatch, f
     encode = colcodec.encodings.encode_array
 
     def spied(array, scheme, block_size=None):
-        block_sizes[scheme] = block_size
+        block_sizes.setdefault(scheme, block_size)  # the plan's, before the oracle checks
         return encode(array, scheme, block_size)
 
     monkeypatch.setattr(colcodec.encodings, "encode_array", spied)
     code, _, _ = run(capsys, ["verify", csv, *flags])
     assert code == 0
-    assert calls == {"cluster_sweep": 1, "entropy_sweep": 1}
+    assert calls == {"cluster_sweep": 1, "entropy_sweep": 1, "indirect_size_sweep": 1}
     assert block_sizes[colcodec.encodings.SchemeKind.CLUSTER] == cluster_b
+    # a constant 1-bit column never pays locally, so the fewest blocks win
+    assert block_sizes[colcodec.encodings.SchemeKind.INDIRECT] == cluster_b
 
 
 @pytest.mark.parametrize(

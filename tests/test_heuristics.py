@@ -11,10 +11,11 @@ from colcodec import (
     EmptyColumnError,
     HeuristicParams,
     SchemeKind,
+    best_indirect,
     compute_stats,
     decide_scheme,
+    indirect_size_sweep,
     optimal_cluster_block_size,
-    optimal_indirect_block_size,
 )
 
 
@@ -130,8 +131,9 @@ def test_raising_z_flips_the_same_column_to_indirect():
     ids = clustered_column()
     decision = decision_for(ids, HeuristicParams(z=0.8))
     assert decision.scheme is SchemeKind.INDIRECT
-    assert decision.block_size == optimal_indirect_block_size(ids).b
-    assert decision.entropy_objective is not None
+    best = best_indirect(indirect_size_sweep(ids, support.make_array(ids).id_width_bits))
+    assert decision.block_size == best.b == 32
+    assert decision.indirect_objective == best
     assert decision.cluster_coverage == pytest.approx(0.75)
 
 

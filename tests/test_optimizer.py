@@ -1,4 +1,4 @@
-"""Block-size optimizers: the run-based recurrence against brute force."""
+"""Block-size optimizers: the run-based recurrence and the sorted-block sweeps against brute force."""
 
 from __future__ import annotations
 
@@ -13,15 +13,22 @@ from colcodec import (
     ClusterObjective,
     EmptyColumnError,
     EntropyObjective,
+    IndirectObjective,
     InvalidBlockSizeError,
     RunLengthView,
+    SchemeKind,
     VisitCounter,
+    best_indirect,
     block_entropy,
     candidate_block_sizes,
     cluster_sweep,
     clustered_block_count,
     clustered_block_count_oracle,
+    encode_array,
+    encoded_size_bits,
+    encoded_size_breakdown,
     entropy_sweep,
+    indirect_size_sweep,
     mean_block_entropy,
     optimal_cluster_block_size,
     optimal_indirect_block_size,
@@ -258,3 +265,72 @@ def test_entropy_visit_counter_counts_scored_rows():
     entropy_sweep(ids, counter=counter)
     # 20 rows: b=2 scores 20, b=4 scores 20, b=8 scores 16, b=16 scores 16
     assert counter.visits == 20 + 20 + 16 + 16
+
+
+def test_entropy_sweep_matches_the_literal_block_walk():
+    rng = np.random.default_rng(139)
+    columns = [[0, 1], [3, 3], [0, 1, 2, 3, 9], list(range(64))]
+    for _ in range(120):
+        n = int(rng.integers(2, 2049))
+        family = support.FAMILIES[int(rng.integers(len(support.FAMILIES)))]
+        columns.append(support.family_column(rng, family, n))
+    for ids in columns:
+        for sqrt_bound in (False, True):
+            counter = VisitCounter()
+            sweep = entropy_sweep(ids, sqrt_bound=sqrt_bound, counter=counter)
+            candidates = candidate_block_sizes(len(ids), sqrt_bound)
+            assert [o.b for o in sweep] == candidates
+            for objective in sweep:
+                literal = mean_block_entropy(ids, objective.b).mean_entropy
+                assert abs(objective.mean_entropy - literal) <= 1e-12
+            # the literal sweep counted the rows inside scored blocks
+            assert counter.visits == sum((len(ids) // b) * b for b in candidates)
+
+
+def literal_indirect_sizes(ids):
+    """encoded_size_bits of the literal indirect encoder at every candidate."""
+    array = support.make_array(ids)
+    return {
+        b: encoded_size_bits(encode_array(array, SchemeKind.INDIRECT, b))
+        for b in candidate_block_sizes(len(ids))
+    }
+
+
+def assert_sweeps_match_encoder(ids):
+    width = support.make_array(ids).id_width_bits
+    literal = literal_indirect_sizes(ids)
+    for sqrt_bound in (False, True):
+        sweep = indirect_size_sweep(ids, width, sqrt_bound=sqrt_bound)
+        assert [o.b for o in sweep] == candidate_block_sizes(len(ids), sqrt_bound)
+        assert all(o.bits == literal[o.b] for o in sweep)
+    best_b = min(literal, key=literal.__getitem__)  # equal sizes: the smallest b
+    assert best_indirect(indirect_size_sweep(ids, width)) == IndirectObjective(
+        b=best_b, bits=literal[best_b]
+    )
+
+
+def test_indirect_size_sweep_equals_the_encoder_on_the_search_corpora(search_corpus, wide_corpus):
+    columns = [ids for ids in search_corpus if len(ids) >= 2] + wide_corpus
+    assert any(len(ids) == 2 for ids in columns)
+    assert any(len(ids) % 2 for ids in columns)  # partial tail blocks
+    for ids in columns:
+        assert_sweeps_match_encoder(ids)
+
+
+def test_indirect_size_sweep_when_no_block_pays():
+    for ids in ([0] * 40, list(range(37)), [0, 1] * 20 + [1]):
+        for b in candidate_block_sizes(len(ids)):
+            encoded = encode_array(support.make_array(ids), SchemeKind.INDIRECT, b)
+            assert encoded_size_breakdown(encoded)["local_dicts"] == 0
+        assert_sweeps_match_encoder(ids)
+
+
+def test_indirect_size_sweep_counts_every_field():
+    # W=3: [0,0,0,0] pays (3 + 4 + 64 bits), [1,2,3,4] does not (12 bits)
+    ids = [0, 0, 0, 0, 1, 2, 3, 4]
+    sweep = indirect_size_sweep(ids, 3)
+    assert sweep[1] == IndirectObjective(b=4, bits=64 + 2 + (3 + 4 + 64) + 12)
+    # a constant column: local IDs never narrow a 1-bit width, so fewest tags win
+    assert best_indirect(indirect_size_sweep([7] * 64, 1)) == IndirectObjective(
+        b=64, bits=64 + 1 + 64
+    )
