@@ -30,6 +30,9 @@ from .heuristics import HeuristicParams
 
 __all__ = ["main", "build_parser"]
 
+# Rows joined into one string per write by ``decompress``.
+_CSV_ROWS_PER_WRITE = 1 << 13
+
 
 def _scheme_name(kind: SchemeKind) -> str:
     """A scheme as the CLI spells it: raw storage is "none"."""
@@ -245,11 +248,21 @@ def cmd_decompress(args) -> int:
         dictionary, encoded = fileio.read_encoded(f)
     ids = encodings.decode_array(encoded)
     values = decode_column(dictionary, ValueIdArray(ids=ids, id_width_bits=encoded.id_width_bits))
+    del encoded, ids  # writing needs only the values: let the payload go first
     # Cells are re-quoted minimally, so byte-level quoting may differ from the
-    # original file even though every cell value is identical.
+    # original file even though every cell value is identical. Each distinct
+    # value's line is rendered once, by the writer a row-by-row write would use.
+    rendered = io.StringIO()
+    writer = csv.writer(rendered, lineterminator="\n")
+    line_of = {}
+    for value in dictionary.values:
+        writer.writerow([value])
+        line_of[value] = rendered.getvalue()
+        rendered.seek(0)
+        rendered.truncate()
     with open(args.out, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerows([v] for v in values)
+        for start in range(0, len(values), _CSV_ROWS_PER_WRITE):
+            f.write("".join(map(line_of.__getitem__, values[start : start + _CSV_ROWS_PER_WRITE])))
     print(f"wrote {args.out} ({len(values)} rows)")
     return 0
 

@@ -56,12 +56,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
+import numpy as np
+
 from .dictionary import IdInterval, ValueIdArray, id_width_bits, to_runs
 from .errors import (
     EmptyColumnError,
     InvalidBlockSizeError,
     InvariantViolationError,
     NotAffineError,
+    TruncatedPayloadError,
 )
 
 if TYPE_CHECKING:
@@ -236,12 +239,37 @@ def _check_id(value: int, dict_count: int, what: str, offset: int) -> None:
         )
 
 
+def _first(mask: np.ndarray) -> int | None:
+    """The index of the first true entry, or None."""
+    i = int(np.argmax(mask)) if len(mask) else 0
+    return i if len(mask) and mask[i] else None
+
+
+def _check_ids(ids: np.ndarray, dict_count: int, what: str, offset: int) -> None:
+    """Raise for the first ID outside the dictionary, if any."""
+    if len(ids) and int(ids.max()) >= dict_count:
+        _check_id(int(ids[_first(ids >= dict_count)]), dict_count, what, offset)
+
+
 def _read_ids(br: _BitReader, count: int, w: int, dict_count: int, what: str) -> list[int]:
     """Unpack ``count`` IDs, then check each against the dictionary."""
     ids = br.read_many(count, w)
-    for v in ids:
-        _check_id(v, dict_count, what, br.position)
-    return ids
+    _check_ids(ids, dict_count, what, br.position)
+    return ids.tolist()
+
+
+def _read_counts(br: _BitReader, count: int, what: str, zero: str) -> list[int]:
+    """``count`` nonzero u64s of the counts region; ``what`` and ``zero`` name
+    entry i through ``str.format``. The first failure in stream order is
+    raised: a zero entry comes before the first missing one."""
+    start = br.position
+    counts = br.read_u64s(count)
+    if 0 in counts:
+        i = counts.index(0)
+        raise InvariantViolationError(zero.format(i), start + 8 * i)
+    if len(counts) < count:
+        raise TruncatedPayloadError(f"{what.format(len(counts))} truncated", br.position)
+    return counts
 
 
 def _encode_raw(ids: Sequence[int], block_size: Any, width: int) -> ValueIdArray:
@@ -336,24 +364,24 @@ def _unpack_rle(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> RleE
     run_count = br.read_u64("run count")
     if run_count < 1:
         raise InvariantViolationError("no runs", br.position - 8)
-    lengths = []
-    for i in range(run_count):
-        c = br.read_u64(f"run {i} length")
-        if c < 1:
-            raise InvariantViolationError(f"run {i} has zero length", br.position - 8)
-        lengths.append(c)
+    lengths = _read_counts(br, run_count, "run {} length", "run {} has zero length")
     if sum(lengths) != n:
         raise InvariantViolationError(
             f"run lengths sum to {sum(lengths)}, header says {n}", br.position
         )
-    runs: list[tuple[int, int]] = []
-    for i, c in enumerate(lengths):
-        v = br.read(w)
-        _check_id(v, dict_count, f"run {i} id", br.position)
-        if runs and runs[-1][0] == v:
-            raise InvariantViolationError(f"runs {i - 1} and {i} not maximal", br.position)
-        runs.append((v, c))
-    return RleEncoded(runs=runs)
+    # Run i's ID is checked as soon as it is read, so the values that are
+    # present are checked before a missing one is reported.
+    start = br.bit
+    values = br.read_many(min(run_count, br.bits_left // w), w)
+    bad = values >= dict_count
+    bad[1:] |= values[1:] == values[:-1]
+    i = _first(bad)
+    if i is not None:
+        offset = -(-(start + (i + 1) * w) // 8)
+        _check_id(int(values[i]), dict_count, f"run {i} id", offset)
+        raise InvariantViolationError(f"runs {i - 1} and {i} not maximal", offset)
+    br.require((run_count - len(values)) * w)
+    return RleEncoded(runs=list(zip(values.tolist(), lengths)))
 
 
 def encode_sparse(ids: Sequence[int]) -> SparseEncoded:
@@ -398,13 +426,17 @@ def _pack_sparse(p: SparseEncoded, w: int, out: FieldSink) -> None:
 
 def _unpack_sparse(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> SparseEncoded:
     [dominant] = _read_ids(br, 1, w, dict_count, "dominant id")
-    bits = list(map(bool, br.read_many(n, 1)))
-    residual = br.read_many(n - sum(bits), w)
-    for v in residual:
-        _check_id(v, dict_count, "residual id", br.position)
-        if v == dominant:
-            raise InvariantViolationError("dominant id in residual", br.position)
-    return SparseEncoded(dominant_id=dominant, positions=BitVector(bits), residual=residual)
+    bits = br.read_many(n, 1)
+    residual = br.read_many(n - int(bits.sum()), w)
+    i = _first((residual >= dict_count) | (residual == dominant))
+    if i is not None:
+        _check_id(int(residual[i]), dict_count, "residual id", br.position)
+        raise InvariantViolationError("dominant id in residual", br.position)
+    return SparseEncoded(
+        dominant_id=dominant,
+        positions=BitVector(bits.astype(bool).tolist()),
+        residual=residual.tolist(),
+    )
 
 
 def encode_cluster(ids: Sequence[int], block_size: int) -> ClusterEncoded:
@@ -480,7 +512,7 @@ def _pack_cluster(p: ClusterEncoded, w: int, out: FieldSink) -> None:
 
 
 def _unpack_cluster(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> ClusterEncoded:
-    flags = list(map(bool, br.read_many(-(-n // b), 1)))
+    flags = br.read_many(-(-n // b), 1).astype(bool).tolist()
     if n % b and flags[-1]:
         raise InvariantViolationError("partial trailing block flagged as clustered", br.position)
     s = sum(flags)
@@ -582,40 +614,79 @@ def _unpack_indirect(br: _BitReader, n: int, b: int, dict_count: int, w: int) ->
         raise InvariantViolationError(
             f"{indirect_count} indirect blocks of {num_blocks}", br.position - 8
         )
-    sizes = []
-    for i in range(indirect_count):
-        k = br.read_u64(f"local dictionary {i} size")
-        if k < 1:
-            raise InvariantViolationError(f"local dictionary {i} empty", br.position - 8)
-        sizes.append(k)
-    tags = list(map(bool, br.read_many(num_blocks, 1)))
+    sizes = _read_counts(br, indirect_count, "local dictionary {} size", "local dictionary {} empty")
+    tags = br.read_many(num_blocks, 1).tolist()
     if sum(tags) != indirect_count:
         raise InvariantViolationError(
             f"{sum(tags)} indirect tags, counts region says {indirect_count}", br.position
         )
+
+    # Each block is two fields, all read in one pass. A tagged block holds its
+    # local dictionary (k ascending IDs at w bits), then one local ID below k
+    # per row at the local width; an untagged block holds its IDs, then
+    # nothing. Per field: (count, width, ID bound, whether it is a local
+    # dictionary). Blocks after one with an impossible k are not read.
+    fields: list[tuple[int, int, int, bool]] = []
     sizes_left = iter(sizes)
-    blocks: list[Union[DirectBlock, IndirectBlock]] = []
+    oversized = None
     for i, tagged in enumerate(tags):
-        b_eff = min(b, n - i * b)
+        rows = min(b, n - i * b)
+        if not tagged:
+            fields += ((rows, w, dict_count, False), (0, w, 0, False))
+            continue
+        k = next(sizes_left)
+        if k > rows or k > dict_count:
+            oversized = f"local dictionary of {k} ids in a {rows}-row block"
+            break
+        fields += ((k, w, dict_count, True), (rows, id_width_bits(k), k, False))
+    counts, widths, bounds, ascending = np.array(fields, np.int64).reshape(-1, 4).T
+    field_ends = np.cumsum(counts * widths)
+    whole = bisect_right(field_ends.tolist(), br.bits_left)  # fields wholly present
+    start = br.bit
+    values = br.read_fields(np.repeat(widths[:whole].astype(np.uint8), counts[:whole]))
+
+    # Every field present is checked, in stream order, before a missing field
+    # or an impossible k is reported: the first field with an ID at or above
+    # its bound, or a local dictionary not strictly ascending, fails.
+    present = np.flatnonzero(counts[:whole])
+    if len(present):
+        value_ends = np.cumsum(counts[:whole])
+        firsts = value_ends[present] - counts[present]
+        over = np.maximum.reduceat(values, firsts) >= bounds[present]
+        descends = np.zeros(len(values), bool)
+        descends[1:] = values[1:] <= values[:-1]
+        descends[firsts] = False
+        unsorted = np.logical_or.reduceat(descends, firsts) & (ascending[present] == 1)
+        failed = _first(over | unsorted)
+        if failed is not None:
+            field = int(present[failed])
+            i = field // 2
+            offset = -(-(start + int(field_ends[field])) // 8)
+            if field % 2:
+                raise InvariantViolationError(
+                    f"local id outside {bounds[field]}-entry dictionary in block {i}", offset
+                )
+            what = "local dictionary id" if tags[i] else "id"
+            _check_ids(values[firsts[failed] : value_ends[field]], dict_count, what, offset)
+            raise InvariantViolationError(
+                f"local dictionary of block {i} not strictly ascending", offset
+            )
+    if whole < len(counts):
+        br.require(int(counts[whole] * widths[whole]))
+    if oversized is not None:
+        raise InvariantViolationError(oversized, br.position)
+
+    bounds_at = iter(np.cumsum(counts).tolist())
+    blocks: list[Union[DirectBlock, IndirectBlock]] = []
+    lo = 0
+    for tagged, mid, hi in zip(tags, bounds_at, bounds_at):
         if tagged:
-            k = next(sizes_left)
-            if k > b_eff or k > dict_count:
-                raise InvariantViolationError(
-                    f"local dictionary of {k} ids in a {b_eff}-row block", br.position
-                )
-            local = _read_ids(br, k, w, dict_count, "local dictionary id")
-            if any(local[j] >= local[j + 1] for j in range(k - 1)):
-                raise InvariantViolationError(
-                    f"local dictionary of block {i} not strictly ascending", br.position
-                )
-            local_ids = br.read_many(b_eff, id_width_bits(k))
-            if any(v >= k for v in local_ids):
-                raise InvariantViolationError(
-                    f"local id outside {k}-entry dictionary in block {i}", br.position
-                )
-            blocks.append(IndirectBlock(local_dictionary=local, local_ids=local_ids))
+            blocks.append(
+                IndirectBlock(local_dictionary=values[lo:mid].tolist(), local_ids=values[mid:hi].tolist())
+            )
         else:
-            blocks.append(DirectBlock(ids=_read_ids(br, b_eff, w, dict_count, "id")))
+            blocks.append(DirectBlock(ids=values[lo:mid].tolist()))
+        lo = hi
     return IndirectEncoded(block_size=b, blocks=blocks, length=n)
 
 
@@ -661,8 +732,8 @@ def _unpack_affine(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> A
     if n < 2:
         raise InvariantViolationError("affine column with fewer than 2 rows", 6)
     start_at = br.position
-    start = br.read(w)
-    step = 1 if br.read(1) == 0 else -1
+    start, step_bit = br.read_fields(np.array([w, 1], np.uint8)).tolist()
+    step = 1 if step_bit == 0 else -1
     br.finish()  # a malformed end is reported before out-of-range IDs
     _check_id(start, dict_count, "start id", start_at)
     last = start + (n - 1) * step

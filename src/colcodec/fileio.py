@@ -22,6 +22,14 @@ and block shape) and rejects nonzero padding or trailing bytes, which
 makes read and write exact inverses at the byte level. It does not re-run
 encoder choice rules, so files a different encoder would not have produced
 still load as long as they decode consistently.
+
+The packed region is read and written whole-array with numpy, a fixed-size
+chunk of values per pass, not one Python call per value. A read checks that
+the bits it needs are present before it allocates anything, so a row count
+the file only claims raises ``TruncatedPayloadError`` instead of sizing an
+array. Where the checks of values already read and a truncation could both
+fire, the one that comes first in the stream is raised, with the message and
+offset a value-by-value reader would give.
 """
 
 from __future__ import annotations
@@ -29,7 +37,10 @@ from __future__ import annotations
 import csv
 import io
 import struct
+from itertools import chain, islice
 from typing import BinaryIO, Sequence
+
+import numpy as np
 
 from .dictionary import Dictionary, id_width_bits
 from .encodings import CODECS, EncodedColumn, check_block_size
@@ -62,75 +73,151 @@ HEADER_BYTES = _HEADER.size  # 26
 _CODEC_OF_TAG = {codec.tag: codec for codec in CODECS.values()}
 
 
+# Values per numpy pass when packing or unpacking, so transient arrays stay a
+# fixed size however many rows a column has.
+_CHUNK = 1 << 13
+
+
+def _uint(nbits: int) -> np.dtype:
+    """The narrowest little-endian unsigned dtype holding ``nbits`` bits."""
+    return np.min_scalar_type((1 << nbits) - 1).newbyteorder("<")
+
+
 class _BitWriter:
-    """Field sink for files: u64 counts, then values packed LSB-first within bytes."""
+    """Field sink for files: u64 counts, then values packed LSB-first within bytes.
+
+    ``bits`` only records a field; ``getvalue`` packs all of them at once, a
+    chunk of values at a time, and pads once at the end.
+    """
 
     def __init__(self) -> None:
         self._counts = bytearray()
-        self._bytes = bytearray()
-        self._acc = 0
-        self._pending = 0
+        self._fields: list[Sequence[int]] = []
+        self._widths: list[int] = []
 
     def u64s(self, name: str, values: Sequence[int]) -> None:
         self._counts += struct.pack(f"<{len(values)}Q", *values)
 
     def bits(self, name: str, values: Sequence[int], nbits: int) -> None:
-        mask = (1 << nbits) - 1
-        for value in values:
-            self._acc |= (value & mask) << self._pending
-            self._pending += nbits
-            while self._pending >= 8:
-                self._bytes.append(self._acc & 0xFF)
-                self._acc >>= 8
-                self._pending -= 8
+        if len(values):
+            self._fields.append(values)
+            self._widths.append(nbits)
 
     def getvalue(self) -> bytes:
-        out = self._counts + self._bytes
-        if self._pending:
-            out.append(self._acc & 0xFF)  # zero padding in the unused high bits
+        out = bytearray(self._counts)
+        counts = np.fromiter(map(len, self._fields), np.int64, len(self._fields))
+        widths = np.repeat(np.array(self._widths, np.uint8), counts)  # one per value
+        stream = chain.from_iterable(self._fields)
+        carry = np.zeros(0, np.uint8)  # the bits of earlier chunks short of a byte
+        for start in range(0, len(widths), _CHUNK):
+            chunk = widths[start : start + _CHUNK]
+            values = np.fromiter(islice(stream, len(chunk)), _uint(int(chunk.max())), len(chunk))
+            bits = np.concatenate((carry, _bit_stream(values, chunk)))
+            whole = len(bits) - len(bits) % 8
+            out += np.packbits(bits[:whole], bitorder="little").tobytes()
+            carry = bits[whole:]
+        out += np.packbits(carry, bitorder="little").tobytes()  # zero high bits pad
         return bytes(out)
 
 
+def _bit_stream(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """One uint8 per bit, LSB first: the low ``widths[i]`` bits of each ``values[i]`` in turn."""
+    as_bytes = values.view(np.uint8).reshape(len(values), values.itemsize)
+    matrix = np.unpackbits(as_bytes, axis=1, bitorder="little")  # row i: value i's bits
+    top = int(widths.max())
+    if widths.min() == top:
+        return matrix[:, :top].ravel()
+    return matrix[np.arange(matrix.shape[1]) < widths[:, None]]
+
+
 class _BitReader:
-    """Unpacks an LSB-first bit stream; offsets are absolute file positions."""
+    """Unpacks an LSB-first bit stream whole-array; offsets are absolute file positions.
+
+    One bit cursor runs over the file; ``position`` is the first byte it has
+    not entered, ``ceil(cursor / 8)``. Every read checks that its bits remain
+    before it allocates anything, so a count the file only claims never sizes
+    an array.
+    """
 
     def __init__(self, data: bytes, start: int):
         self._data = data
-        self._pos = start
-        self._acc = 0
-        self._pending = 0
+        self._bytes = np.frombuffer(data + bytes(8), np.uint8)  # zero tail: whole words at the end
+        # The little-endian u64 starting at each byte offset: a value of up to
+        # 57 bits at any bit offset lies within one of them.
+        self._words = np.ndarray((len(data) + 1,), "<u8", self._bytes, 0, (1,))
+        self._bit = 8 * start
+
+    @property
+    def bit(self) -> int:
+        """The absolute bit cursor."""
+        return self._bit
 
     @property
     def position(self) -> int:
-        return self._pos
+        return -(-self._bit // 8)
 
-    def read(self, nbits: int) -> int:
-        while self._pending < nbits:
-            if self._pos >= len(self._data):
-                raise TruncatedPayloadError("bit-packed payload ended early", self._pos)
-            self._acc |= self._data[self._pos] << self._pending
-            self._pos += 1
-            self._pending += 8
-        value = self._acc & ((1 << nbits) - 1)
-        self._acc >>= nbits
-        self._pending -= nbits
-        return value
+    @property
+    def bits_left(self) -> int:
+        return 8 * len(self._data) - self._bit
 
-    def read_many(self, count: int, nbits: int) -> list[int]:
-        return [self.read(nbits) for _ in range(count)]
+    def require(self, nbits: int) -> None:
+        """Raise the truncation error unless ``nbits`` more bits remain."""
+        if nbits > self.bits_left:
+            raise TruncatedPayloadError("bit-packed payload ended early", len(self._data))
+
+    def _gather(self, pos: np.ndarray, nbits: int | np.ndarray) -> np.ndarray:
+        """The values of ``nbits`` bits (one width, or one per value) at bit offsets ``pos``."""
+        words = self._words[pos >> 3]
+        words >>= (pos & 7).astype(np.uint64)
+        words &= (np.uint64(1) << np.asarray(nbits, np.uint64)) - np.uint64(1)
+        return words
+
+    def read_many(self, count: int, nbits: int) -> np.ndarray:
+        """``count`` values of ``nbits`` bits (at most 57) each."""
+        self.require(count * nbits)
+        out = np.empty(count, _uint(nbits))
+        for start in range(0, count, _CHUNK):
+            stop = min(count, start + _CHUNK)
+            pos = np.arange(start, stop, dtype=np.int64) * nbits + self._bit
+            out[start:stop] = self._gather(pos, nbits)
+        self._bit += count * nbits
+        return out
+
+    def read_fields(self, widths: np.ndarray) -> np.ndarray:
+        """One value per entry of ``widths``, each that many bits (at most 57) wide."""
+        total = int(widths.sum(dtype=np.int64))
+        self.require(total)
+        out = np.empty(len(widths), _uint(int(widths.max(initial=1))))
+        bit = self._bit
+        for start in range(0, len(widths), _CHUNK):
+            chunk = widths[start : start + _CHUNK].astype(np.int64)
+            ends = np.cumsum(chunk) + bit
+            out[start : start + _CHUNK] = self._gather(ends - chunk, chunk)
+            bit = int(ends[-1])
+        self._bit += total
+        return out
 
     def read_u64(self, what: str) -> int:
         """One little-endian u64 of the counts region, which precedes all bits."""
-        if self._pos + 8 > len(self._data):
-            raise TruncatedPayloadError(f"{what} truncated", self._pos)
-        self._pos += 8
-        return int.from_bytes(self._data[self._pos - 8 : self._pos], "little")
+        pos = self.position
+        if pos + 8 > len(self._data):
+            raise TruncatedPayloadError(f"{what} truncated", pos)
+        self._bit = 8 * (pos + 8)
+        return int.from_bytes(self._data[pos : pos + 8], "little")
+
+    def read_u64s(self, count: int) -> list[int]:
+        """The next ``count`` u64s of the counts region, or as many as the data holds."""
+        pos = self.position
+        count = min(count, (len(self._data) - pos) // 8)
+        self._bit = 8 * (pos + 8 * count)
+        return list(struct.unpack_from(f"<{count}Q", self._data, pos))
 
     def finish(self) -> None:
-        if self._acc:
-            raise InvariantViolationError("nonzero padding bits", self._pos - 1)
-        if self._pos != len(self._data):
-            raise InvariantViolationError("trailing bytes after payload", self._pos)
+        used = self._bit % 8
+        if used and self._bytes[self._bit // 8] >> used:
+            raise InvariantViolationError("nonzero padding bits", self._bit // 8)
+        if self.position != len(self._data):
+            raise InvariantViolationError("trailing bytes after payload", self.position)
 
 
 def write_encoded(sink: BinaryIO, dictionary: Dictionary, encoded: EncodedColumn) -> int:

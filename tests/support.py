@@ -15,6 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from colcodec import (
+    InvariantViolationError,
+    TruncatedPayloadError,
     EncodedColumn,
     IdInterval,
     SchemeKind,
@@ -146,3 +148,84 @@ def scheme_plans(
     if is_sequential(ids):
         plans.append((SchemeKind.AFFINE, None))
     return plans
+
+
+class LiteralBitWriter:
+    """Reference field sink: values packed LSB-first one at a time."""
+
+    def __init__(self) -> None:
+        self._counts = bytearray()
+        self._bytes = bytearray()
+        self._acc = 0
+        self._pending = 0
+
+    def u64s(self, name: str, values: Sequence[int]) -> None:
+        for value in values:
+            self._counts += value.to_bytes(8, "little")
+
+    def bits(self, name: str, values: Sequence[int], nbits: int) -> None:
+        mask = (1 << nbits) - 1
+        for value in values:
+            self._acc |= (value & mask) << self._pending
+            self._pending += nbits
+            while self._pending >= 8:
+                self._bytes.append(self._acc & 0xFF)
+                self._acc >>= 8
+                self._pending -= 8
+
+    def getvalue(self) -> bytes:
+        out = self._counts + self._bytes
+        if self._pending:
+            out.append(self._acc & 0xFF)
+        return bytes(out)
+
+
+class LiteralBitReader:
+    """Reference reader: loads a byte whenever the next value needs more bits."""
+
+    def __init__(self, data: bytes, start: int):
+        self._data = data
+        self._pos = start
+        self._acc = 0
+        self._pending = 0
+
+    @property
+    def position(self) -> int:
+        return self._pos
+
+    def read(self, nbits: int) -> int:
+        while self._pending < nbits:
+            if self._pos >= len(self._data):
+                raise TruncatedPayloadError("bit-packed payload ended early", self._pos)
+            self._acc |= self._data[self._pos] << self._pending
+            self._pos += 1
+            self._pending += 8
+        value = self._acc & ((1 << nbits) - 1)
+        self._acc >>= nbits
+        self._pending -= nbits
+        return value
+
+    def read_many(self, count: int, nbits: int) -> list[int]:
+        return [self.read(nbits) for _ in range(count)]
+
+    def read_fields(self, widths: Sequence[int]) -> list[int]:
+        return [self.read(int(nbits)) for nbits in widths]
+
+    def read_u64(self, what: str) -> int:
+        if self._pos + 8 > len(self._data):
+            raise TruncatedPayloadError(f"{what} truncated", self._pos)
+        self._pos += 8
+        return int.from_bytes(self._data[self._pos - 8 : self._pos], "little")
+
+    def read_u64s(self, count: int) -> list[int]:
+        """Up to ``count`` u64s, as many as the data holds."""
+        values = []
+        while len(values) < count and self._pos + 8 <= len(self._data):
+            values.append(self.read_u64(""))
+        return values
+
+    def finish(self) -> None:
+        if self._acc:
+            raise InvariantViolationError("nonzero padding bits", self._pos - 1)
+        if self._pos != len(self._data):
+            raise InvariantViolationError("trailing bytes after payload", self._pos)

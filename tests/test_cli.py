@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
 import colcodec.encodings
 import colcodec.optimizer
-from colcodec import read_csv_column
+from colcodec import SchemeKind, encode_array, encode_column, read_csv_column, write_encoded
 from colcodec.cli import main
 
 
@@ -239,6 +242,21 @@ def test_compress_decompress_round_trips_values(capsys, tmp_path, values):
     assert f"({len(values)} rows)" in out
     with open(back, "rb") as f:
         assert read_csv_column(f, 0) == values
+
+
+def test_decompress_writes_what_writerows_writes(capsys, tmp_path):
+    cells = ['say "hi"', "a,b", "cr\rcell", "lf\ncell", "crlf\r\ncell", " lead", "trail ",
+             "", "plain", "naïve ü €", "日本語", '"', ","]
+    rows = [cells[i] for i in np.random.default_rng(5).integers(0, len(cells), 20_000)]
+    dictionary, array = encode_column(rows)
+    column = tmp_path / "col.bcc1"
+    with open(column, "wb") as f:
+        write_encoded(f, dictionary, encode_array(array, SchemeKind.RAW))
+    back = tmp_path / "back.csv"
+    assert run(capsys, ["decompress", str(column), "--out", str(back)])[0] == 0
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerows([cell] for cell in rows)
+    assert back.read_bytes() == want.getvalue().encode("utf-8")
 
 
 def test_decompress_rejects_truncated_files(capsys, tmp_path):

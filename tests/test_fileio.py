@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
+import json
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from colcodec import (
     read_encoded,
     write_encoded,
 )
-from colcodec.fileio import HEADER_BYTES
+from colcodec.fileio import HEADER_BYTES, _BitReader, _BitWriter
 
 
 GOLDEN = bytes.fromhex(
@@ -339,3 +343,188 @@ def test_csv_column_index_is_checked():
 def test_csv_rejects_invalid_utf8():
     with pytest.raises(Utf8Error):
         csv_column(b"\xff\xfe\x00a")
+
+
+def random_plan(rng: random.Random, long: bool) -> tuple[list[int], list[list[int]]]:
+    """u64 counts, then bit fields as the codecs write them: each field one
+    width (1 to 57 bits) or, as indirect writes its blocks, mixed widths.
+    Long plans also hold fields longer than the seams' chunk of values."""
+    counts = [rng.getrandbits(64) for _ in range(rng.randrange(3))]
+    fields = []
+    for _ in range(rng.randint(1, 5)):
+        count = rng.choice([0, 1, 2, 7, 8, 9, rng.randrange(41)])
+        if rng.random() < 0.3:
+            fields.append([rng.randint(1, 57) for _ in range(count)])
+        else:
+            fields.append([rng.randint(1, 57)] * count)
+    if long:
+        fields.insert(rng.randrange(len(fields)), [rng.randint(1, 57)] * rng.randint(8193, 20_000))
+        fields.append([rng.randint(1, 57) for _ in range(rng.randint(8193, 20_000))])
+    return counts, fields
+
+
+def write_plan(sink, rng: random.Random, counts, fields) -> bytes:
+    sink.u64s("counts", counts)
+    for widths in fields:
+        if len(set(widths)) == 1:
+            sink.bits("field", [rng.getrandbits(widths[0]) for _ in widths], widths[0])
+        else:  # one call per value, as indirect's pack calls once per block
+            for nbits in widths:
+                sink.bits("field", [rng.getrandbits(nbits)], nbits)
+    return sink.getvalue()
+
+
+def read_plan(reader, counts, fields) -> list:
+    """Everything a reader yields for the plan: values and position after each
+    read, then the outcome of ``finish``; a format error ends the list."""
+    got = []
+    try:
+        got.append((list(reader.read_u64s(len(counts))), reader.position))
+        for widths in fields:
+            if len(set(widths)) == 1:
+                values = reader.read_many(len(widths), widths[0])
+            else:
+                values = reader.read_fields(np.array(widths, np.uint8))
+            got.append((list(values), reader.position))
+        reader.finish()
+        got.append("finished")
+    except FormatError as exc:
+        got.append((type(exc).__name__, str(exc), exc.offset))
+    return got
+
+
+def test_bit_seams_match_the_literal_loops():
+    rng = random.Random(20261018)
+    for case in range(300):
+        counts, fields = random_plan(rng, long=case % 75 == 0)
+        seed = rng.getrandbits(32)
+        data = write_plan(_BitWriter(), random.Random(seed), counts, fields)
+        assert data == write_plan(support.LiteralBitWriter(), random.Random(seed), counts, fields)
+
+        start = rng.randrange(4)  # the packed region follows a header
+        blob = bytes(rng.getrandbits(8) for _ in range(start)) + data
+        want = read_plan(support.LiteralBitReader(blob, start), counts, fields)
+        assert want[-1] == "finished"
+        assert read_plan(_BitReader(blob, start), counts, fields) == want
+
+        cuts = range(start, len(blob)) if len(blob) < 400 else rng.sample(range(start, len(blob)), 3)
+        for cut in cuts:
+            short = blob[:cut]
+            want = read_plan(support.LiteralBitReader(short, start), counts, fields)
+            assert read_plan(_BitReader(short, start), counts, fields) == want
+
+        if sum(map(sum, fields)) % 8:
+            bad = blob[:-1] + bytes([blob[-1] | 0x80])  # the top padding bit set
+        else:
+            bad = blob + b"\x00"  # a trailing byte
+        want = read_plan(support.LiteralBitReader(bad, start), counts, fields)
+        assert want[-1][0] == "InvariantViolationError"
+        assert read_plan(_BitReader(bad, start), counts, fields) == want
+
+
+READ_OUTCOMES = Path(__file__).with_name("data") / "read_outcomes.json"
+
+
+def mutation_bases() -> list[bytes]:
+    """The golden files, and the same schemes (affine aside) on 48 rows of short
+    two-value segments over 16 values, which give each one many runs, residual
+    IDs, flagged blocks or tagged blocks."""
+    rng = random.Random(3)
+    rows: list[str] = []
+    while len(rows) < 48:
+        pair = ["a", rng.choice("bcdefghijklmnop")]
+        rows += [rng.choice(pair) for _ in range(rng.randint(2, 8))]
+    dictionary, array = encode_column(rows[:48])
+    wide = [
+        write_bytes(dictionary, encode_array(array, scheme, {SchemeKind.CLUSTER: 4, SchemeKind.INDIRECT: 8}.get(scheme)))
+        for scheme in SchemeKind
+        if scheme is not SchemeKind.AFFINE
+    ]
+    return [GOLDEN] + [bytes.fromhex(golden) for _, golden in SCHEME_GOLDENS.values()] + wide
+
+
+def mutated_files() -> list[bytes]:
+    """About 3,000 seeded mutations of ``mutation_bases``: bit flips,
+    truncations, both at once, appended bytes and overwritten count fields.
+    Most flips and cuts land in the last 8 bytes, among the packed values, so
+    that one file often breaks two checks and the first in stream order must
+    be the one reported."""
+    rng = random.Random(7)
+    out = []
+    for base in mutation_bases():
+        fields = [6, 14, 18] + list(range(HEADER_BYTES + 5, len(base) - 1, 8))
+
+        def at(data):
+            low = len(data) - 8 if rng.random() < 0.8 else 0
+            return rng.randrange(low, len(data))
+
+        for _ in range(232):
+            data = bytearray(base)
+            kind = rng.randrange(5)
+            if kind in (0, 1):
+                for _ in range(rng.randint(1, 3)):
+                    data[at(data)] ^= 1 << rng.randrange(8)
+            if kind == 2:
+                field = rng.choice(fields)
+                value = rng.choice([0, 1, 2, 3, rng.randrange(64), 2**31, 2**62, 2**64 - 1])
+                data[field : field + 8] = value.to_bytes(8, "little")
+            if kind in (1, 3):
+                del data[at(data) :]
+            if kind == 4:
+                data += bytes(rng.choice([0, rng.randrange(256)]) for _ in range(rng.randint(1, 3)))
+            out.append(bytes(data))
+    return out
+
+
+def read_outcome(data: bytes) -> str:
+    """``ok`` and a hash of the decoded column, or the error's type, message and offset."""
+    try:
+        dictionary, encoded = read_encoded(io.BytesIO(data))
+    except FormatError as exc:
+        return f"{type(exc).__name__}: {exc} @ {exc.offset}"
+    decoded = repr((dictionary.values, decode_array(encoded))).encode()
+    return "ok " + hashlib.sha256(decoded).hexdigest()[:16]
+
+
+def record_read_outcomes() -> None:
+    """Write the fixture: ``python tests/test_fileio.py`` with the reader to record on the path."""
+    outcomes = [read_outcome(data) for data in mutated_files()]
+    distinct = sorted(set(outcomes))
+    note = (
+        "read_encoded outcome of each mutated_files() file, recorded with the "
+        "per-value bit reader that the whole-array reader replaced"
+    )
+    READ_OUTCOMES.parent.mkdir(exist_ok=True)
+    READ_OUTCOMES.write_text(
+        f'{{"note": {json.dumps(note)},\n"outcomes": [\n'
+        + ",\n".join(map(json.dumps, distinct))
+        + f'\n],\n"index": {json.dumps([distinct.index(o) for o in outcomes])}}}\n'
+    )
+
+
+def test_mutated_files_read_as_the_per_value_reader_did():
+    fixture = json.loads(READ_OUTCOMES.read_text())
+    want = [fixture["outcomes"][i] for i in fixture["index"]]
+    got = [read_outcome(data) for data in mutated_files()]
+    assert len(got) == len(want) > 3000
+    assert [(i, g) for i, (g, w) in enumerate(zip(got, want)) if g != w] == []
+
+
+@pytest.mark.parametrize("scheme", [SchemeKind.RAW, SchemeKind.SPARSE], ids=lambda s: s.value)
+def test_a_claimed_row_count_sizes_nothing(scheme):
+    dictionary, array = encode_column(GOLDEN_ROWS)
+    data = write_bytes(dictionary, encode_array(array, scheme))
+    data = data[:6] + (2**62).to_bytes(8, "little") + data[14:]
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedPayloadError) as info:
+            read_encoded(io.BytesIO(data))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.offset == len(data)
+    assert peak < 1 << 20
+
+
+if __name__ == "__main__":
+    record_read_outcomes()
