@@ -22,10 +22,18 @@ width, indirect local IDs cost their local width, counts and lengths cost 64
 bits, bit vectors cost one bit per entry. ``encoded_size_breakdown`` tallies
 them by the field names ``pack`` writes; ``encoded_size_bits`` is their sum.
 
+Prefix, sparse and cluster payloads hold their per-row and per-block
+sequences as numpy arrays (``BitVector.bits`` a bool array), and payloads
+compare by value, so an encoder's int64 arrays equal the narrower unsigned
+arrays a file is read into. Encoders and decoders work whole-array;
+``decode_array`` returns a list of ints.
+
 ``scan_id_range`` finds the row positions whose ID falls in an interval
-without materializing the whole array: runs and single-valued blocks are
-accepted or skipped wholesale, affine positions are solved arithmetically,
-and indirect blocks are tested through their local dictionaries.
+without decoding the column: raw, prefix, RLE, sparse and cluster build one
+boolean row mask from the arrays they store (a run's, a flagged block's or
+the dominant ID's test is repeated over its rows), affine positions are
+solved arithmetically, and indirect blocks are tested through their local
+dictionaries.
 
 File payloads, as (tag | u64 counts region | packed bit region):
 
@@ -52,8 +60,8 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
 import numpy as np
@@ -128,24 +136,40 @@ def check_block_size(block_size: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class BitVector:
+class _ByValue:
+    """Dataclass equality that compares array fields by value, whatever their dtype."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for field in fields(self):
+            a, b = getattr(self, field.name), getattr(other, field.name)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                if not np.array_equal(a, b):
+                    return False
+            elif a != b:
+                return False
+        return True
+
+
+@dataclass(frozen=True, eq=False)
+class BitVector(_ByValue):
     """Plain bit sequence; index order is row/block order."""
 
-    bits: list[bool]
+    bits: np.ndarray  # bool
 
     def __len__(self) -> int:
         return len(self.bits)
 
     def popcount(self) -> int:
-        return sum(self.bits)
+        return int(np.count_nonzero(self.bits))
 
 
-@dataclass(frozen=True)
-class PrefixEncoded:
+@dataclass(frozen=True, eq=False)
+class PrefixEncoded(_ByValue):
     prefix_id: int
     prefix_count: int
-    rest: list[int]
+    rest: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -153,19 +177,19 @@ class RleEncoded:
     runs: list[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class SparseEncoded:
+@dataclass(frozen=True, eq=False)
+class SparseEncoded(_ByValue):
     dominant_id: int
     positions: BitVector  # one bit per row, set where the dominant ID occurs
-    residual: list[int]  # the other rows' IDs, in row order
+    residual: np.ndarray  # the other rows' IDs, in row order
 
 
-@dataclass(frozen=True)
-class ClusterEncoded:
+@dataclass(frozen=True, eq=False)
+class ClusterEncoded(_ByValue):
     block_size: int
     flags: BitVector  # one bit per block, set = single-valued full block
-    singles: list[int]  # one ID per flagged block, in block order
-    uncompressed: list[int]  # the unflagged blocks' IDs, in row order
+    singles: np.ndarray  # one ID per flagged block, in block order
+    uncompressed: np.ndarray  # the unflagged blocks' IDs, in row order
     length: int
 
 
@@ -227,9 +251,18 @@ def _require_rows(ids: Sequence[int]) -> None:
         raise EmptyColumnError("cannot encode an empty column")
 
 
-def _hit(lo: int | None, hi: int | None) -> Callable[[int], bool]:
-    """Membership test for the closed interval [lo, hi]; None is unbounded."""
-    return lambda v: (lo is None or v >= lo) and (hi is None or v <= hi)
+def _hits(ids: np.ndarray, lo: int | None, hi: int | None) -> np.ndarray:
+    """Mask of the IDs in the closed interval [lo, hi]; None is unbounded."""
+    mask = np.ones(ids.shape, bool)
+    if lo is not None:
+        mask &= ids >= lo
+    if hi is not None:
+        mask &= ids <= hi
+    return mask
+
+
+def _rows(mask: np.ndarray) -> list[int]:
+    return np.flatnonzero(mask).tolist()
 
 
 def _check_id(value: int, dict_count: int, what: str, offset: int) -> None:
@@ -251,11 +284,11 @@ def _check_ids(ids: np.ndarray, dict_count: int, what: str, offset: int) -> None
         _check_id(int(ids[_first(ids >= dict_count)]), dict_count, what, offset)
 
 
-def _read_ids(br: _BitReader, count: int, w: int, dict_count: int, what: str) -> list[int]:
+def _read_ids(br: _BitReader, count: int, w: int, dict_count: int, what: str) -> np.ndarray:
     """Unpack ``count`` IDs, then check each against the dictionary."""
     ids = br.read_many(count, w)
     _check_ids(ids, dict_count, what, br.position)
-    return ids.tolist()
+    return ids
 
 
 def _read_counts(br: _BitReader, count: int, what: str, zero: str) -> list[int]:
@@ -278,8 +311,7 @@ def _encode_raw(ids: Sequence[int], block_size: Any, width: int) -> ValueIdArray
 
 
 def _scan_raw(p: ValueIdArray, lo: int | None, hi: int | None) -> list[int]:
-    hit = _hit(lo, hi)
-    return [i for i, v in enumerate(p.ids) if hit(v)]
+    return _rows(_hits(np.asarray(p.ids, np.int64), lo, hi))
 
 
 def _pack_raw(p: ValueIdArray, w: int, out: FieldSink) -> None:
@@ -287,35 +319,33 @@ def _pack_raw(p: ValueIdArray, w: int, out: FieldSink) -> None:
 
 
 def _unpack_raw(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> ValueIdArray:
-    return ValueIdArray(ids=_read_ids(br, n, w, dict_count, "id"), id_width_bits=w)
+    return ValueIdArray(ids=_read_ids(br, n, w, dict_count, "id").tolist(), id_width_bits=w)
 
 
 def encode_prefix(ids: Sequence[int]) -> PrefixEncoded:
     """Capture the literal leading run; the remainder is stored verbatim."""
     _require_rows(ids)
-    first = ids[0]
-    count = 1
-    n = len(ids)
-    while count < n and ids[count] == first:
-        count += 1
-    return PrefixEncoded(prefix_id=first, prefix_count=count, rest=list(ids[count:]))
+    ids = np.array(ids, np.int64)
+    other = _first(ids != ids[0])
+    count = len(ids) if other is None else other
+    return PrefixEncoded(prefix_id=int(ids[0]), prefix_count=count, rest=ids[count:])
 
 
 def decode_prefix(encoded: PrefixEncoded) -> list[int]:
-    return [encoded.prefix_id] * encoded.prefix_count + list(encoded.rest)
+    return [encoded.prefix_id] * encoded.prefix_count + encoded.rest.tolist()
 
 
 def _scan_prefix(p: PrefixEncoded, lo: int | None, hi: int | None) -> list[int]:
-    hit = _hit(lo, hi)
-    out = list(range(p.prefix_count)) if hit(p.prefix_id) else []
-    out.extend(p.prefix_count + i for i, v in enumerate(p.rest) if hit(v))
-    return out
+    mask = np.empty(p.prefix_count + len(p.rest), bool)
+    mask[: p.prefix_count] = _hits(np.asarray(p.prefix_id), lo, hi)
+    mask[p.prefix_count :] = _hits(p.rest, lo, hi)
+    return _rows(mask)
 
 
 def _pack_prefix(p: PrefixEncoded, w: int, out: FieldSink) -> None:
     out.u64s("prefix_count", [p.prefix_count])
     out.bits("prefix_id", [p.prefix_id], w)
-    out.bits("rest", p.rest, w)
+    out.bits("rest", p.rest.tolist(), w)
 
 
 def _unpack_prefix(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> PrefixEncoded:
@@ -324,9 +354,9 @@ def _unpack_prefix(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> P
         raise InvariantViolationError(
             f"prefix length {prefix_count} of {n} rows", br.position - 8
         )
-    [prefix_id] = _read_ids(br, 1, w, dict_count, "prefix id")
+    prefix_id = int(_read_ids(br, 1, w, dict_count, "prefix id")[0])
     rest = _read_ids(br, n - prefix_count, w, dict_count, "id")
-    if rest and rest[0] == prefix_id:
+    if len(rest) and rest[0] == prefix_id:
         raise InvariantViolationError("prefix run not maximal", br.position)
     return PrefixEncoded(prefix_id=prefix_id, prefix_count=prefix_count, rest=rest)
 
@@ -344,14 +374,9 @@ def decode_rle(encoded: RleEncoded) -> list[int]:
 
 
 def _scan_rle(p: RleEncoded, lo: int | None, hi: int | None) -> list[int]:
-    hit = _hit(lo, hi)
-    out: list[int] = []
-    pos = 0
-    for value, count in p.runs:
-        if hit(value):
-            out.extend(range(pos, pos + count))
-        pos += count
-    return out
+    flat = np.fromiter(chain.from_iterable(p.runs), np.int64, 2 * len(p.runs))
+    values, lengths = flat.reshape(-1, 2).T
+    return _rows(np.repeat(_hits(values, lo, hi), lengths))
 
 
 def _pack_rle(p: RleEncoded, w: int, out: FieldSink) -> None:
@@ -387,56 +412,43 @@ def _unpack_rle(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> RleE
 def encode_sparse(ids: Sequence[int]) -> SparseEncoded:
     """Drop the most frequent ID; ties pick the smallest ID."""
     _require_rows(ids)
-    freqs = Counter(ids)
-    dominant = min(freqs, key=lambda v: (-freqs[v], v))
+    ids = np.array(ids, np.int64)
+    values, counts = np.unique(ids, return_counts=True)
+    dominant = int(values[np.argmax(counts)])  # values ascend; argmax takes the first
+    present = ids == dominant
     return SparseEncoded(
-        dominant_id=dominant,
-        positions=BitVector([v == dominant for v in ids]),
-        residual=[v for v in ids if v != dominant],
+        dominant_id=dominant, positions=BitVector(present), residual=ids[~present]
     )
 
 
 def decode_sparse(encoded: SparseEncoded) -> list[int]:
-    residual = iter(encoded.residual)
-    return [
-        encoded.dominant_id if present else next(residual)
-        for present in encoded.positions.bits
-    ]
+    present = encoded.positions.bits
+    out = np.full(len(present), encoded.dominant_id, np.int64)
+    out[~present] = encoded.residual
+    return out.tolist()
 
 
 def _scan_sparse(p: SparseEncoded, lo: int | None, hi: int | None) -> list[int]:
-    hit = _hit(lo, hi)
-    dominant_hits = hit(p.dominant_id)
-    residual = iter(p.residual)
-    out = []
-    for pos, present in enumerate(p.positions.bits):
-        if present:
-            if dominant_hits:
-                out.append(pos)
-        elif hit(next(residual)):
-            out.append(pos)
-    return out
+    mask = np.full(len(p.positions), _hits(np.asarray(p.dominant_id), lo, hi))
+    mask[~p.positions.bits] = _hits(p.residual, lo, hi)
+    return _rows(mask)
 
 
 def _pack_sparse(p: SparseEncoded, w: int, out: FieldSink) -> None:
     out.bits("dominant_id", [p.dominant_id], w)
-    out.bits("positions", p.positions.bits, 1)
-    out.bits("residual", p.residual, w)
+    out.bits("positions", p.positions.bits.tolist(), 1)
+    out.bits("residual", p.residual.tolist(), w)
 
 
 def _unpack_sparse(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> SparseEncoded:
-    [dominant] = _read_ids(br, 1, w, dict_count, "dominant id")
-    bits = br.read_many(n, 1)
-    residual = br.read_many(n - int(bits.sum()), w)
+    dominant = int(_read_ids(br, 1, w, dict_count, "dominant id")[0])
+    bits = br.read_many(n, 1).view(bool)
+    residual = br.read_many(n - int(np.count_nonzero(bits)), w)
     i = _first((residual >= dict_count) | (residual == dominant))
     if i is not None:
         _check_id(int(residual[i]), dict_count, "residual id", br.position)
         raise InvariantViolationError("dominant id in residual", br.position)
-    return SparseEncoded(
-        dominant_id=dominant,
-        positions=BitVector(bits.astype(bool).tolist()),
-        residual=residual.tolist(),
-    )
+    return SparseEncoded(dominant_id=dominant, positions=BitVector(bits), residual=residual)
 
 
 def encode_cluster(ids: Sequence[int], block_size: int) -> ClusterEncoded:
@@ -447,75 +459,57 @@ def encode_cluster(ids: Sequence[int], block_size: int) -> ClusterEncoded:
     """
     check_block_size(block_size)
     _require_rows(ids)
+    ids = np.array(ids, np.int64)
     n = len(ids)
-    flags: list[bool] = []
-    singles: list[int] = []
-    uncompressed: list[int] = []
-    for start in range(0, n, block_size):
-        block = list(ids[start : start + block_size])
-        if len(block) == block_size and block.count(block[0]) == block_size:
-            flags.append(True)
-            singles.append(block[0])
-        else:
-            flags.append(False)
-            uncompressed.extend(block)
+    full = n // block_size
+    blocks = ids[: full * block_size].reshape(full, block_size)
+    flags = np.zeros(-(-n // block_size), bool)
+    flags[:full] = (blocks == blocks[:, :1]).all(axis=1)
     return ClusterEncoded(
         block_size=block_size,
         flags=BitVector(flags),
-        singles=singles,
-        uncompressed=uncompressed,
+        singles=blocks[flags[:full], 0],
+        uncompressed=ids[~_flagged_rows(flags, block_size, n)],
         length=n,
     )
 
 
+def _flagged_rows(flags: np.ndarray, b: int, n: int) -> np.ndarray:
+    """One entry per row: whether its block is flagged. Only full blocks are
+    flagged, so nothing is sized by the block size, which may be 2**31."""
+    rows = np.zeros(n, bool)
+    full = n // b
+    rows[: full * b] = np.repeat(flags[:full], b)
+    return rows
+
+
 def decode_cluster(encoded: ClusterEncoded) -> list[int]:
-    b = encoded.block_size
-    n = encoded.length
-    out: list[int] = []
-    singles = iter(encoded.singles)
-    cursor = 0  # position in the uncompressed stream
-    for i, flag in enumerate(encoded.flags.bits):
-        if flag:
-            out.extend([next(singles)] * b)
-        else:
-            size = min(b, n - i * b)
-            out.extend(encoded.uncompressed[cursor : cursor + size])
-            cursor += size
-    return out
+    flagged = _flagged_rows(encoded.flags.bits, encoded.block_size, encoded.length)
+    out = np.empty(encoded.length, np.int64)
+    out[flagged] = np.repeat(encoded.singles, encoded.block_size)
+    out[~flagged] = encoded.uncompressed
+    return out.tolist()
 
 
 def _scan_cluster(p: ClusterEncoded, lo: int | None, hi: int | None) -> list[int]:
-    hit = _hit(lo, hi)
-    out: list[int] = []
-    b = p.block_size
-    single_at = 0
-    cursor = 0
-    for i, flag in enumerate(p.flags.bits):
-        start = i * b
-        if flag:
-            if hit(p.singles[single_at]):
-                out.extend(range(start, start + b))
-            single_at += 1
-        else:
-            size = min(b, p.length - start)
-            for offset in range(size):
-                if hit(p.uncompressed[cursor + offset]):
-                    out.append(start + offset)
-            cursor += size
-    return out
+    flagged = _flagged_rows(p.flags.bits, p.block_size, p.length)
+    mask = np.empty(p.length, bool)
+    mask[flagged] = np.repeat(_hits(p.singles, lo, hi), p.block_size)
+    mask[~flagged] = _hits(p.uncompressed, lo, hi)
+    return _rows(mask)
 
 
 def _pack_cluster(p: ClusterEncoded, w: int, out: FieldSink) -> None:
-    out.bits("flags", p.flags.bits, 1)
-    out.bits("id_payload", p.singles, w)
-    out.bits("id_payload", p.uncompressed, w)
+    out.bits("flags", p.flags.bits.tolist(), 1)
+    out.bits("id_payload", p.singles.tolist(), w)
+    out.bits("id_payload", p.uncompressed.tolist(), w)
 
 
 def _unpack_cluster(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> ClusterEncoded:
-    flags = br.read_many(-(-n // b), 1).astype(bool).tolist()
+    flags = br.read_many(-(-n // b), 1).view(bool)
     if n % b and flags[-1]:
         raise InvariantViolationError("partial trailing block flagged as clustered", br.position)
-    s = sum(flags)
+    s = int(np.count_nonzero(flags))
     singles = _read_ids(br, s, w, dict_count, "single id")
     uncompressed = _read_ids(br, n - s * b, w, dict_count, "id")
     return ClusterEncoded(
@@ -559,7 +553,7 @@ def decode_indirect(encoded: IndirectEncoded) -> list[int]:
     out: list[int] = []
     for block in encoded.blocks:
         if isinstance(block, IndirectBlock):
-            out.extend(block.local_dictionary[j] for j in block.local_ids)
+            out.extend(map(block.local_dictionary.__getitem__, block.local_ids))
         else:
             out.extend(block.ids)
     return out

@@ -150,6 +150,117 @@ def scheme_plans(
     return plans
 
 
+def _plain(values) -> list:
+    """A payload field as Python ints or bools, whatever array it is stored as."""
+    return np.asarray(values).tolist()
+
+
+def _hit(lo: int | None, hi: int | None):
+    """Membership test for the closed interval [lo, hi]; None is unbounded."""
+    return lambda v: (lo is None or v >= lo) and (hi is None or v <= hi)
+
+
+def literal_scan_raw(p, lo: int | None, hi: int | None) -> list[int]:
+    """Row-by-row reference for the raw scan, like the others below."""
+    hit = _hit(lo, hi)
+    return [i for i, v in enumerate(_plain(p.ids)) if hit(v)]
+
+
+def literal_scan_prefix(p, lo: int | None, hi: int | None) -> list[int]:
+    hit = _hit(lo, hi)
+    out = list(range(p.prefix_count)) if hit(p.prefix_id) else []
+    out.extend(p.prefix_count + i for i, v in enumerate(_plain(p.rest)) if hit(v))
+    return out
+
+
+def literal_scan_rle(p, lo: int | None, hi: int | None) -> list[int]:
+    hit = _hit(lo, hi)
+    out: list[int] = []
+    pos = 0
+    for value, count in p.runs:
+        if hit(value):
+            out.extend(range(pos, pos + count))
+        pos += count
+    return out
+
+
+def literal_scan_sparse(p, lo: int | None, hi: int | None) -> list[int]:
+    hit = _hit(lo, hi)
+    dominant_hits = hit(p.dominant_id)
+    residual = iter(_plain(p.residual))
+    out = []
+    for pos, present in enumerate(_plain(p.positions.bits)):
+        if present:
+            if dominant_hits:
+                out.append(pos)
+        elif hit(next(residual)):
+            out.append(pos)
+    return out
+
+
+def literal_scan_cluster(p, lo: int | None, hi: int | None) -> list[int]:
+    hit = _hit(lo, hi)
+    out: list[int] = []
+    b = p.block_size
+    singles = _plain(p.singles)
+    uncompressed = _plain(p.uncompressed)
+    single_at = 0
+    cursor = 0
+    for i, flag in enumerate(_plain(p.flags.bits)):
+        start = i * b
+        if flag:
+            if hit(singles[single_at]):
+                out.extend(range(start, start + b))
+            single_at += 1
+        else:
+            size = min(b, p.length - start)
+            for offset in range(size):
+                if hit(uncompressed[cursor + offset]):
+                    out.append(start + offset)
+            cursor += size
+    return out
+
+
+def literal_decode_prefix(p) -> list[int]:
+    return [p.prefix_id] * p.prefix_count + _plain(p.rest)
+
+
+def literal_decode_sparse(p) -> list[int]:
+    residual = iter(_plain(p.residual))
+    return [p.dominant_id if present else next(residual) for present in _plain(p.positions.bits)]
+
+
+def literal_decode_cluster(p) -> list[int]:
+    b = p.block_size
+    n = p.length
+    out: list[int] = []
+    singles = iter(_plain(p.singles))
+    uncompressed = _plain(p.uncompressed)
+    cursor = 0  # position in the uncompressed stream
+    for i, flag in enumerate(_plain(p.flags.bits)):
+        if flag:
+            out.extend([next(singles)] * b)
+        else:
+            size = min(b, n - i * b)
+            out.extend(uncompressed[cursor : cursor + size])
+            cursor += size
+    return out
+
+
+LITERAL_SCANS = {
+    SchemeKind.RAW: literal_scan_raw,
+    SchemeKind.PREFIX: literal_scan_prefix,
+    SchemeKind.RLE: literal_scan_rle,
+    SchemeKind.SPARSE: literal_scan_sparse,
+    SchemeKind.CLUSTER: literal_scan_cluster,
+}
+LITERAL_DECODERS = {
+    SchemeKind.PREFIX: literal_decode_prefix,
+    SchemeKind.SPARSE: literal_decode_sparse,
+    SchemeKind.CLUSTER: literal_decode_cluster,
+}
+
+
 class LiteralBitWriter:
     """Reference field sink: values packed LSB-first one at a time."""
 

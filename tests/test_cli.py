@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -306,6 +307,23 @@ def test_verify_detects_a_broken_decoder(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert "FAIL round-trip raw" in out
     assert "verification FAILED" in out
+
+
+def test_verify_scans_the_column_it_read_back(capsys, tmp_path, monkeypatch):
+    # a scan that goes wrong only on the unsigned arrays a file is read into
+    csv = write_csv(tmp_path, ["m", "m", "k", "m", "m", "m", "z", "k"])
+    codec = colcodec.encodings.CODECS[SchemeKind.SPARSE]
+
+    def scan(p, lo, hi):
+        return [] if p.residual.dtype.kind == "u" else codec.scan(p, lo, hi)
+
+    monkeypatch.setitem(
+        colcodec.encodings._CODEC_OF_PAYLOAD, codec.payload_type, dataclasses.replace(codec, scan=scan)
+    )
+    code, out, _ = run(capsys, ["verify", csv])
+    assert code == 2
+    assert "FAIL scan equivalence sparse" in out
+    assert "ok   scan equivalence rle" in out
 
 
 def test_analyze_runs_each_sweep_once(capsys, tmp_path, monkeypatch):

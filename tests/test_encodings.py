@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import support
 from colcodec import (
     COUNT_BITS,
+    Dictionary,
     DirectBlock,
     EmptyColumnError,
     IdInterval,
@@ -23,7 +25,9 @@ from colcodec import (
     encoded_size_bits,
     encoded_size_breakdown,
     id_width_bits,
+    read_encoded,
     scan_id_range,
+    write_encoded,
 )
 from colcodec.encodings import (
     decode_affine,
@@ -43,13 +47,13 @@ from colcodec.encodings import (
 
 def test_prefix_captures_leading_run():
     e = encode_prefix([4, 4, 4, 7, 7, 2])
-    assert (e.prefix_id, e.prefix_count, e.rest) == (4, 3, [7, 7, 2])
+    assert (e.prefix_id, e.prefix_count, e.rest.tolist()) == (4, 3, [7, 7, 2])
     assert decode_prefix(e) == [4, 4, 4, 7, 7, 2]
 
 
 def test_prefix_of_constant_column_swallows_everything():
     e = encode_prefix([5, 5])
-    assert (e.prefix_id, e.prefix_count, e.rest) == (5, 2, [])
+    assert (e.prefix_id, e.prefix_count, e.rest.tolist()) == (5, 2, [])
 
 
 def test_prefix_rest_never_restarts_the_run():
@@ -58,7 +62,7 @@ def test_prefix_rest_never_restarts_the_run():
         ids = [rng.randint(0, 3) for _ in range(rng.randint(1, 30))]
         e = encode_prefix(ids)
         assert e.prefix_count >= 1
-        assert not e.rest or e.rest[0] != e.prefix_id
+        assert not len(e.rest) or e.rest[0] != e.prefix_id
 
 
 def test_rle_runs_are_maximal():
@@ -70,8 +74,8 @@ def test_rle_runs_are_maximal():
 def test_sparse_drops_the_dominant_id():
     e = encode_sparse([9, 9, 3, 9, 5])
     assert e.dominant_id == 9
-    assert e.positions.bits == [True, True, False, True, False]
-    assert e.residual == [3, 5]
+    assert e.positions.bits.tolist() == [True, True, False, True, False]
+    assert e.residual.tolist() == [3, 5]
     assert decode_sparse(e) == [9, 9, 3, 9, 5]
 
 
@@ -91,21 +95,21 @@ def test_sparse_popcount_accounts_for_every_row():
 
 def test_cluster_separates_single_valued_blocks():
     e = encode_cluster([1, 1, 2, 3, 3, 3], 2)
-    assert e.flags.bits == [True, False, True]
-    assert e.singles == [1, 3]
-    assert e.uncompressed == [2, 3]
+    assert e.flags.bits.tolist() == [True, False, True]
+    assert e.singles.tolist() == [1, 3]
+    assert e.uncompressed.tolist() == [2, 3]
     assert decode_cluster(e) == [1, 1, 2, 3, 3, 3]
 
 
 def test_cluster_trailing_partial_block_is_never_flagged():
     # last block [7] is single-valued but shorter than b, so it stays raw
     e = encode_cluster([7, 7, 7], 2)
-    assert e.flags.bits == [True, False]
-    assert e.singles == [7]
-    assert e.uncompressed == [7]
+    assert e.flags.bits.tolist() == [True, False]
+    assert e.singles.tolist() == [7]
+    assert e.uncompressed.tolist() == [7]
 
     e = encode_cluster([4, 4, 4, 4, 4], 4)
-    assert e.flags.bits == [True, False]
+    assert e.flags.bits.tolist() == [True, False]
     assert decode_cluster(e) == [4] * 5
 
 
@@ -373,3 +377,55 @@ def test_scan_rows_are_strictly_increasing():
         e = encode_array(array, scheme, block_size=block)
         rows = scan_id_range(e, IdInterval(lo=0, hi=1))
         assert all(a < b for a, b in zip(rows, rows[1:]))
+
+
+def encoded_and_read_back(ids, scheme, block_size):
+    """The payload as encoded (int64 arrays) and as read back from its file
+    bytes (the narrowest unsigned arrays that hold the ID width)."""
+    array = support.make_array(ids)
+    dictionary = Dictionary(
+        values=[f"{i:04d}" for i in range(max(ids) + 1)], width_bits=array.id_width_bits
+    )
+    encoded = encode_array(array, scheme, block_size)
+    sink = io.BytesIO()
+    write_encoded(sink, dictionary, encoded)
+    _, read_back = read_encoded(io.BytesIO(sink.getvalue()))
+    return encoded, read_back
+
+
+def test_mask_scans_and_decoders_match_the_literal_loops():
+    rng = np.random.default_rng(20261019)
+    dtypes = set()
+    columns = [[7], [3, 3, 3], [1, 1, 1, 1, 2]]  # n = 1, empty prefix rest and residual
+    columns += [support.family_column(rng, family, n) for family in support.FAMILIES for n in (1, 2, 5, 33, 300)]
+    for ids in columns:
+        dict_count = max(ids) + 1
+        bounds = [None, -1, 0, ids[len(ids) // 2], dict_count - 1, dict_count, 2**64]
+        plans = [(kind, None) for kind in support.LITERAL_SCANS if kind is not SchemeKind.CLUSTER]
+        plans += [(SchemeKind.CLUSTER, b) for b in (2, 4, 16)]  # trailing partial blocks
+        for scheme, block_size in plans:
+            for e in encoded_and_read_back(ids, scheme, block_size):
+                dtypes.update(
+                    str(v.dtype) for v in vars(e.payload).values() if isinstance(v, np.ndarray)
+                )
+                if scheme in support.LITERAL_DECODERS:
+                    want = support.LITERAL_DECODERS[scheme](e.payload)
+                    assert want == ids
+                    assert decode_array(e) == want
+                for lo in bounds:
+                    for hi in bounds:
+                        got = scan_id_range(e, IdInterval(lo=lo, hi=hi))
+                        assert got == support.LITERAL_SCANS[scheme](e.payload, lo, hi), (ids, scheme, lo, hi)
+    assert {"int64", "uint8", "uint16"} <= dtypes
+
+
+def test_array_payloads_compare_by_value():
+    ids = [2, 2, 5, 5, 5, 5, 1, 2, 300]
+    for scheme, block_size in ((SchemeKind.PREFIX, None), (SchemeKind.SPARSE, None), (SchemeKind.CLUSTER, 2)):
+        encoded, read_back = encoded_and_read_back(ids, scheme, block_size)
+        assert encoded == read_back
+        assert encoded.payload == read_back.payload
+        for changed in ([2, 2, 5, 5, 5, 5, 1, 3, 300], [2, 2, 5, 5, 5, 5, 5, 2, 300], [2, 2, 5, 5, 5, 5, 1, 2]):
+            other, _ = encoded_and_read_back(changed, scheme, block_size)
+            assert other.payload != encoded.payload
+    assert encode_cluster(ids, 2) != encode_cluster(ids, 4)

@@ -18,6 +18,7 @@ from colcodec import (
     ColumnIndexOutOfRangeError,
     Dictionary,
     FormatError,
+    IdInterval,
     InvariantViolationError,
     RaggedRowError,
     SchemeKind,
@@ -31,6 +32,7 @@ from colcodec import (
     encoded_size_bits,
     read_csv_column,
     read_encoded,
+    scan_id_range,
     write_encoded,
 )
 from colcodec.fileio import HEADER_BYTES, _BitReader, _BitWriter
@@ -363,11 +365,25 @@ def random_plan(rng: random.Random, long: bool) -> tuple[list[int], list[list[in
     return counts, fields
 
 
-def write_plan(sink, rng: random.Random, counts, fields) -> bytes:
-    sink.u64s("counts", counts)
+def array_dtypes(rng: random.Random, fields) -> list:
+    """Per field, a numpy dtype to pass its values as (bool, uint8, uint16 or
+    int64, wide enough for its width), or None to pass a list."""
+    out = []
     for widths in fields:
+        nbits = max(widths, default=1)
+        fits = [d for d, top in (("bool", 1), ("uint8", 8), ("uint16", 16), ("int64", 63)) if nbits <= top]
+        out.append(rng.choice(fits) if rng.random() < 0.5 else None)
+    return out
+
+
+def write_plan(sink, rng: random.Random, counts, fields, dtypes=None) -> bytes:
+    sink.u64s("counts", counts)
+    for k, widths in enumerate(fields):
         if len(set(widths)) == 1:
-            sink.bits("field", [rng.getrandbits(widths[0]) for _ in widths], widths[0])
+            values = [rng.getrandbits(widths[0]) for _ in widths]
+            if dtypes and dtypes[k]:
+                values = np.array(values, dtypes[k])
+            sink.bits("field", values, widths[0])
         else:  # one call per value, as indirect's pack calls once per block
             for nbits in widths:
                 sink.bits("field", [rng.getrandbits(nbits)], nbits)
@@ -400,6 +416,9 @@ def test_bit_seams_match_the_literal_loops():
         seed = rng.getrandbits(32)
         data = write_plan(_BitWriter(), random.Random(seed), counts, fields)
         assert data == write_plan(support.LiteralBitWriter(), random.Random(seed), counts, fields)
+        # the same values with some fields passed as numpy arrays
+        dtypes = array_dtypes(random.Random(case), fields)
+        assert data == write_plan(_BitWriter(), random.Random(seed), counts, fields, dtypes)
 
         start = rng.randrange(4)  # the packed region follows a header
         blob = bytes(rng.getrandbits(8) for _ in range(start)) + data
@@ -523,6 +542,25 @@ def test_a_claimed_row_count_sizes_nothing(scheme):
     finally:
         tracemalloc.stop()
     assert info.value.offset == len(data)
+    assert peak < 1 << 20
+
+
+def test_a_large_cluster_block_size_sizes_nothing():
+    """A valid five-row cluster file may name a block size of 2**31; encoding,
+    writing, reading, decoding and scanning it allocate by its rows."""
+    dictionary, array = encode_column("b b b a b".split())
+    tracemalloc.start()
+    try:
+        encoded = encode_array(array, SchemeKind.CLUSTER, 2**31)
+        back = read_encoded(io.BytesIO(write_bytes(dictionary, encoded)))[1]
+        decoded = decode_array(back)
+        scans = [scan_id_range(e, IdInterval(1, 1)) for e in (encoded, back)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == encoded
+    assert decoded == array.ids
+    assert scans == [[0, 1, 2, 4]] * 2
     assert peak < 1 << 20
 
 
