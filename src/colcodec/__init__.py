@@ -23,9 +23,7 @@ from .encodings import (
     AffineEncoded,
     BitVector,
     ClusterEncoded,
-    DirectBlock,
     EncodedColumn,
-    IndirectBlock,
     IndirectEncoded,
     PrefixEncoded,
     RleEncoded,

@@ -25,6 +25,7 @@ __all__ = [
     "RunLengthView",
     "IdInterval",
     "id_width_bits",
+    "ids_of",
     "build_dictionary",
     "encode_column",
     "decode_column",
@@ -105,6 +106,11 @@ class IdInterval:
             return False
         lo, hi = norm
         return (lo is None or value_id >= lo) and (hi is None or value_id <= hi)
+
+
+def ids_of(array: ValueIdArray | Sequence[int]) -> Sequence[int]:
+    """The IDs of a ValueIdArray, or the sequence itself."""
+    return getattr(array, "ids", array)
 
 
 def build_dictionary(values: Sequence[str]) -> Dictionary:
@@ -202,5 +208,5 @@ def to_runs(array: ValueIdArray | Sequence[int]) -> RunLengthView:
     Empty input yields an empty run list. Accepts a ValueIdArray or any
     sequence of IDs.
     """
-    values, counts = run_lengths(getattr(array, "ids", array))
+    values, counts = run_lengths(ids_of(array))
     return RunLengthView(runs=list(zip(values.tolist(), counts.tolist())))

@@ -3,7 +3,7 @@
 Six encoded forms plus raw storage:
 
 * prefix   -- leading run stored once as (id, count), remainder verbatim
-* rle      -- maximal (id, count) runs
+* rle      -- maximal runs, as run IDs and run lengths
 * sparse   -- dominant ID dropped; presence bit vector plus residual IDs
 * cluster  -- fixed-size blocks; full single-valued blocks stored as one ID,
               a flag bit per block says which
@@ -22,18 +22,19 @@ width, indirect local IDs cost their local width, counts and lengths cost 64
 bits, bit vectors cost one bit per entry. ``encoded_size_breakdown`` tallies
 them by the field names ``pack`` writes; ``encoded_size_bits`` is their sum.
 
-Prefix, sparse and cluster payloads hold their per-row and per-block
-sequences as numpy arrays (``BitVector.bits`` a bool array), and payloads
-compare by value, so an encoder's int64 arrays equal the narrower unsigned
-arrays a file is read into. Encoders and decoders work whole-array;
-``decode_array`` returns a list of ints.
+Prefix, RLE, sparse, cluster and indirect payloads hold their per-row,
+per-run and per-block sequences as numpy arrays (``BitVector.bits`` a bool
+array), and payloads compare by value, so an encoder's int64 arrays equal
+the narrower unsigned arrays a file is read into. Encoders and decoders work
+whole-array; ``decode_array`` returns a list of ints.
 
 ``scan_id_range`` finds the row positions whose ID falls in an interval
-without decoding the column: raw, prefix, RLE, sparse and cluster build one
-boolean row mask from the arrays they store (a run's, a flagged block's or
-the dominant ID's test is repeated over its rows), affine positions are
-solved arithmetically, and indirect blocks are tested through their local
-dictionaries.
+without decoding the column: raw, sparse and cluster build one boolean row
+mask from the arrays they store (a flagged block's or the dominant ID's test
+is repeated over its rows); RLE and prefix test each run once and list only
+the matching runs' rows, so memory follows the rows returned, not the row
+count; affine positions are solved arithmetically; indirect tests its local
+dictionaries once and gathers that mask onto the tagged blocks' rows.
 
 File payloads, as (tag | u64 counts region | packed bit region):
 
@@ -59,14 +60,12 @@ consistently.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
-from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
 import numpy as np
 
-from .dictionary import IdInterval, ValueIdArray, id_width_bits, to_runs
+from .dictionary import IdInterval, ValueIdArray, run_lengths
 from .errors import (
     EmptyColumnError,
     InvalidBlockSizeError,
@@ -87,8 +86,6 @@ __all__ = [
     "RleEncoded",
     "SparseEncoded",
     "ClusterEncoded",
-    "DirectBlock",
-    "IndirectBlock",
     "IndirectEncoded",
     "AffineEncoded",
     "EncodedColumn",
@@ -96,6 +93,8 @@ __all__ = [
     "CODECS",
     "COUNT_BITS",
     "check_block_size",
+    "run_starts",
+    "indirect_block_bits",
     "encode_prefix",
     "decode_prefix",
     "encode_rle",
@@ -172,9 +171,10 @@ class PrefixEncoded(_ByValue):
     rest: np.ndarray
 
 
-@dataclass(frozen=True)
-class RleEncoded:
-    runs: list[tuple[int, int]]
+@dataclass(frozen=True, eq=False)
+class RleEncoded(_ByValue):
+    values: np.ndarray  # one ID per maximal run
+    lengths: np.ndarray  # row counts, as ``_positions``: np.repeat refuses uint64 ones
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,21 +193,13 @@ class ClusterEncoded(_ByValue):
     length: int
 
 
-@dataclass(frozen=True)
-class DirectBlock:
-    ids: list[int]
-
-
-@dataclass(frozen=True)
-class IndirectBlock:
-    local_dictionary: list[int]  # ascending distinct global IDs of the block
-    local_ids: list[int]  # positions into local_dictionary
-
-
-@dataclass(frozen=True)
-class IndirectEncoded:
+@dataclass(frozen=True, eq=False)
+class IndirectEncoded(_ByValue):
     block_size: int
-    blocks: list[Union[DirectBlock, IndirectBlock]]
+    tags: BitVector  # one bit per block, set = the block stores a local dictionary
+    dict_sizes: np.ndarray  # one local dictionary size per tagged block, in block order
+    local_dicts: np.ndarray  # the tagged blocks' ascending distinct IDs, concatenated
+    payload: np.ndarray  # one ID per row: local in a tagged block, else global
     length: int
 
 
@@ -263,6 +255,11 @@ def _hits(ids: np.ndarray, lo: int | None, hi: int | None) -> np.ndarray:
 
 def _rows(mask: np.ndarray) -> list[int]:
     return np.flatnonzero(mask).tolist()
+
+
+def _positions(n: int) -> type:
+    """Row positions' dtype for n rows: uint64 from the 2**63 rows a file may claim."""
+    return np.uint64 if n >> 63 else np.int64
 
 
 def _check_id(value: int, dict_count: int, what: str, offset: int) -> None:
@@ -336,10 +333,12 @@ def decode_prefix(encoded: PrefixEncoded) -> list[int]:
 
 
 def _scan_prefix(p: PrefixEncoded, lo: int | None, hi: int | None) -> list[int]:
-    mask = np.empty(p.prefix_count + len(p.rest), bool)
-    mask[: p.prefix_count] = _hits(np.asarray(p.prefix_id), lo, hi)
-    mask[p.prefix_count :] = _hits(p.rest, lo, hi)
-    return _rows(mask)
+    positions = _positions(p.prefix_count + len(p.rest))
+    rows = np.flatnonzero(_hits(p.rest, lo, hi)).astype(positions, copy=False)
+    rows += p.prefix_count
+    if _hits(np.asarray(p.prefix_id), lo, hi):
+        rows = np.concatenate((np.arange(p.prefix_count, dtype=positions), rows))
+    return rows.tolist()
 
 
 def _pack_prefix(p: PrefixEncoded, w: int, out: FieldSink) -> None:
@@ -363,26 +362,27 @@ def _unpack_prefix(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> P
 
 def encode_rle(ids: Sequence[int]) -> RleEncoded:
     _require_rows(ids)
-    return RleEncoded(runs=to_runs(ids).runs)
+    return RleEncoded(*run_lengths(ids))
 
 
 def decode_rle(encoded: RleEncoded) -> list[int]:
-    out: list[int] = []
-    for value, count in encoded.runs:
-        out.extend([value] * count)
-    return out
+    return np.repeat(encoded.values, encoded.lengths).tolist()
 
 
 def _scan_rle(p: RleEncoded, lo: int | None, hi: int | None) -> list[int]:
-    flat = np.fromiter(chain.from_iterable(p.runs), np.int64, 2 * len(p.runs))
-    values, lengths = flat.reshape(-1, 2).T
-    return _rows(np.repeat(_hits(values, lo, hi), lengths))
+    hit = _hits(p.values, lo, hi)
+    starts, lengths = (np.cumsum(p.lengths) - p.lengths)[hit], p.lengths[hit]
+    # Only the matching runs' rows are built: memory follows the rows returned.
+    rows = np.arange(int(lengths.sum()), dtype=lengths.dtype)
+    # The rows were allocated, so every length is below 2**63 and fits an intp.
+    rows += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths.astype(np.intp))
+    return rows.tolist()
 
 
 def _pack_rle(p: RleEncoded, w: int, out: FieldSink) -> None:
-    out.u64s("run_count", [len(p.runs)])
-    out.u64s("run_lengths", [c for _, c in p.runs])
-    out.bits("run_values", [v for v, _ in p.runs], w)
+    out.u64s("run_count", [len(p.values)])
+    out.u64s("run_lengths", p.lengths.tolist())
+    out.bits("run_values", p.values.tolist(), w)
 
 
 def _unpack_rle(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> RleEncoded:
@@ -406,7 +406,7 @@ def _unpack_rle(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> RleE
         _check_id(int(values[i]), dict_count, f"run {i} id", offset)
         raise InvariantViolationError(f"runs {i - 1} and {i} not maximal", offset)
     br.require((run_count - len(values)) * w)
-    return RleEncoded(runs=list(zip(values.tolist(), lengths)))
+    return RleEncoded(values=values, lengths=np.array(lengths, _positions(n)))
 
 
 def encode_sparse(ids: Sequence[int]) -> SparseEncoded:
@@ -521,84 +521,101 @@ def _unpack_cluster(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> 
     )
 
 
+def run_starts(rows: np.ndarray) -> np.ndarray:
+    """True where a sorted row's run of equal IDs begins."""
+    starts = np.ones(rows.shape, dtype=bool)
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    return starts
+
+
+def _id_widths(k: np.ndarray) -> np.ndarray:
+    """``id_width_bits`` of each entry of k."""
+    return np.maximum(np.frexp(k - 1)[1], 1, dtype=np.int64)
+
+
+def indirect_block_bits(
+    k: np.ndarray, rows: np.ndarray | int, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per block of ``rows`` rows holding k distinct IDs at global width W:
+    whether it stores a local dictionary, and the bits it then takes.
+
+    A block goes local iff its local dictionary and local IDs,
+    k*W + rows*max(1, ceil(log2 k)), are strictly smaller than its IDs,
+    rows*W; a local block also stores its dictionary's 64-bit size.
+    """
+    local = k * width + rows * _id_widths(k)
+    direct = rows * width
+    pays = local < direct
+    return pays, np.where(pays, local + COUNT_BITS, direct)
+
+
 def encode_indirect(
     ids: Sequence[int], block_size: int, global_width_bits: int
 ) -> IndirectEncoded:
-    """Per block, remap to a local dictionary when that costs fewer bits.
-
-    A block of k distinct IDs and b_eff rows goes Indirect iff
-    k*W + b_eff*max(1, ceil(log2 k)) < b_eff*W with W = global_width_bits,
-    strict, so Indirect never loses payload bits to Direct. The trailing
-    short block uses its actual length and may go either way.
-    """
+    """Per block, remap to a local dictionary where ``indirect_block_bits``
+    says that pays; the trailing short block is priced at its own length."""
     check_block_size(block_size)
     _require_rows(ids)
-    blocks: list[Union[DirectBlock, IndirectBlock]] = []
-    for start in range(0, len(ids), block_size):
-        block = list(ids[start : start + block_size])
-        local = sorted(set(block))
-        k = len(local)
-        b_eff = len(block)
-        if k * global_width_bits + b_eff * id_width_bits(k) < b_eff * global_width_bits:
-            index = {v: j for j, v in enumerate(local)}
-            blocks.append(
-                IndirectBlock(local_dictionary=local, local_ids=[index[v] for v in block])
-            )
-        else:
-            blocks.append(DirectBlock(ids=block))
-    return IndirectEncoded(block_size=block_size, blocks=blocks, length=len(ids))
+    ids = np.array(ids, np.int64)
+    n = len(ids)
+    b = min(block_size, n)  # a block as long as the column is the only one
+    blocks = -(-n // b)
+    # The trailing block is padded with its last ID, which adds no distinct ID.
+    rows = np.append(ids, np.full(blocks * b - n, ids[-1])).reshape(blocks, b)
+    order = np.argsort(rows, axis=1)
+    ranked = np.take_along_axis(rows, order, axis=1)
+    starts = run_starts(ranked)
+    k = np.count_nonzero(starts, axis=1)
+    tags, _ = indirect_block_bits(k, np.minimum(b, n - b * np.arange(blocks)), global_width_bits)
+    local = np.empty_like(rows)
+    np.put_along_axis(local, order, np.cumsum(starts, axis=1) - 1, axis=1)
+    return IndirectEncoded(
+        block_size=block_size,
+        tags=BitVector(tags),
+        dict_sizes=k[tags],
+        local_dicts=ranked[starts & tags[:, None]],
+        payload=np.where(tags[:, None], local, rows).ravel()[:n],
+        length=n,
+    )
+
+
+def _dict_starts(p: IndirectEncoded) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: whether its block is tagged, and where the block's local
+    dictionary starts in ``local_dicts`` (int64, whatever the payload's dtype)."""
+    tags = p.tags.bits
+    starts = np.zeros(len(tags), np.int64)
+    starts[tags] = np.cumsum(p.dict_sizes) - p.dict_sizes
+    block = np.arange(p.length) // p.block_size
+    return tags[block], starts[block]
 
 
 def decode_indirect(encoded: IndirectEncoded) -> list[int]:
-    out: list[int] = []
-    for block in encoded.blocks:
-        if isinstance(block, IndirectBlock):
-            out.extend(map(block.local_dictionary.__getitem__, block.local_ids))
-        else:
-            out.extend(block.ids)
-    return out
+    tagged, starts = _dict_starts(encoded)
+    out = encoded.payload.astype(np.int64)
+    out[tagged] = encoded.local_dicts[starts[tagged] + out[tagged]]
+    return out.tolist()
 
 
 def _scan_indirect(p: IndirectEncoded, lo: int | None, hi: int | None) -> list[int]:
-    out: list[int] = []
-    start = 0
-    for block in p.blocks:
-        if isinstance(block, IndirectBlock):
-            # The local dictionary is ascending, so the global interval maps
-            # to a contiguous local-ID range.
-            local = block.local_dictionary
-            local_lo = 0 if lo is None else bisect_left(local, lo)
-            local_hi = len(local) - 1 if hi is None else bisect_right(local, hi) - 1
-            if local_lo <= local_hi:
-                out.extend(
-                    start + i
-                    for i, j in enumerate(block.local_ids)
-                    if local_lo <= j <= local_hi
-                )
-            start += len(block.local_ids)
-        else:
-            out.extend(
-                start + i
-                for i, v in enumerate(block.ids)
-                if (lo is None or v >= lo) and (hi is None or v <= hi)
-            )
-            start += len(block.ids)
-    return out
+    tagged, starts = _dict_starts(p)
+    mask = _hits(p.payload, lo, hi)
+    mask[tagged] = _hits(p.local_dicts, lo, hi)[starts[tagged] + p.payload[tagged]]
+    return _rows(mask)
 
 
 def _pack_indirect(p: IndirectEncoded, w: int, out: FieldSink) -> None:
-    tags = [isinstance(block, IndirectBlock) for block in p.blocks]
-    indirect = [block for block, tagged in zip(p.blocks, tags) if tagged]
-    out.u64s("indirect_count", [len(indirect)])
-    out.u64s("local_dict_counts", [len(b.local_dictionary) for b in indirect])
-    out.bits("block_tags", tags, 1)
-    out.bits("local_dicts", [], w)  # named before block_payload, even when no block pays
-    for block, tagged in zip(p.blocks, tags):
-        if tagged:
-            out.bits("local_dicts", block.local_dictionary, w)
-            out.bits("block_payload", block.local_ids, id_width_bits(len(block.local_dictionary)))
-        else:
-            out.bits("block_payload", block.ids, w)
+    tags = p.tags.bits
+    k = np.zeros(len(tags), np.int64)
+    k[tags] = p.dict_sizes
+    out.u64s("indirect_count", [len(p.dict_sizes)])
+    out.u64s("local_dict_counts", p.dict_sizes.tolist())
+    out.bits("block_tags", tags.tolist(), 1)
+    # Per block: its local dictionary (empty unless tagged), then its rows.
+    local_dicts, payload, b = p.local_dicts.tolist(), p.payload.tolist(), p.block_size
+    widths = np.where(tags, _id_widths(k), w).tolist()
+    for i, (end, size, width) in enumerate(zip(np.cumsum(k).tolist(), k.tolist(), widths)):
+        out.bits("local_dicts", local_dicts[end - size : end], w)
+        out.bits("block_payload", payload[i * b : (i + 1) * b], width)
 
 
 def _unpack_indirect(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> IndirectEncoded:
@@ -609,33 +626,35 @@ def _unpack_indirect(br: _BitReader, n: int, b: int, dict_count: int, w: int) ->
             f"{indirect_count} indirect blocks of {num_blocks}", br.position - 8
         )
     sizes = _read_counts(br, indirect_count, "local dictionary {} size", "local dictionary {} empty")
-    tags = br.read_many(num_blocks, 1).tolist()
-    if sum(tags) != indirect_count:
+    tags = br.read_many(num_blocks, 1).view(bool)
+    tagged = int(np.count_nonzero(tags))
+    if tagged != indirect_count:
         raise InvariantViolationError(
-            f"{sum(tags)} indirect tags, counts region says {indirect_count}", br.position
+            f"{tagged} indirect tags, counts region says {indirect_count}", br.position
         )
 
     # Each block is two fields, all read in one pass. A tagged block holds its
     # local dictionary (k ascending IDs at w bits), then one local ID below k
     # per row at the local width; an untagged block holds its IDs, then
-    # nothing. Per field: (count, width, ID bound, whether it is a local
-    # dictionary). Blocks after one with an impossible k are not read.
-    fields: list[tuple[int, int, int, bool]] = []
-    sizes_left = iter(sizes)
+    # nothing. Blocks from the first with an impossible k on are not read.
+    rows = np.full(num_blocks, b, np.int64)
+    rows[-1] = n - (num_blocks - 1) * b
+    k_read = np.array(sizes, np.uint64)
+    bad = _first((k_read > rows[tags].astype(np.uint64)) | (k_read > dict_count))
     oversized = None
-    for i, tagged in enumerate(tags):
-        rows = min(b, n - i * b)
-        if not tagged:
-            fields += ((rows, w, dict_count, False), (0, w, 0, False))
-            continue
-        k = next(sizes_left)
-        if k > rows or k > dict_count:
-            oversized = f"local dictionary of {k} ids in a {rows}-row block"
-            break
-        fields += ((k, w, dict_count, True), (rows, id_width_bits(k), k, False))
-    counts, widths, bounds, ascending = np.array(fields, np.int64).reshape(-1, 4).T
+    if bad is not None:
+        i = int(np.flatnonzero(tags)[bad])
+        oversized = f"local dictionary of {sizes[bad]} ids in a {rows[i]}-row block"
+        rows, tags = rows[:i], tags[:i]
+    k = np.zeros(len(tags), np.int64)
+    k[tags] = k_read[:bad]
+    # Per field, dictionary then rows: count, width, ID bound, whether it is a local dictionary.
+    counts = np.stack((np.where(tags, k, rows), np.where(tags, rows, 0)), axis=1).ravel()
+    widths = np.stack((np.full(len(tags), w), np.where(tags, _id_widths(k), w)), axis=1).ravel()
+    bounds = np.stack((np.full(len(tags), dict_count), k), axis=1).ravel()
+    ascending = np.stack((tags, np.zeros(len(tags), bool)), axis=1).ravel()
     field_ends = np.cumsum(counts * widths)
-    whole = bisect_right(field_ends.tolist(), br.bits_left)  # fields wholly present
+    whole = int(np.searchsorted(field_ends, br.bits_left, side="right"))  # fields wholly present
     start = br.bit
     values = br.read_fields(np.repeat(widths[:whole].astype(np.uint8), counts[:whole]))
 
@@ -650,7 +669,7 @@ def _unpack_indirect(br: _BitReader, n: int, b: int, dict_count: int, w: int) ->
         descends = np.zeros(len(values), bool)
         descends[1:] = values[1:] <= values[:-1]
         descends[firsts] = False
-        unsorted = np.logical_or.reduceat(descends, firsts) & (ascending[present] == 1)
+        unsorted = np.logical_or.reduceat(descends, firsts) & ascending[present]
         failed = _first(over | unsorted)
         if failed is not None:
             field = int(present[failed])
@@ -670,18 +689,15 @@ def _unpack_indirect(br: _BitReader, n: int, b: int, dict_count: int, w: int) ->
     if oversized is not None:
         raise InvariantViolationError(oversized, br.position)
 
-    bounds_at = iter(np.cumsum(counts).tolist())
-    blocks: list[Union[DirectBlock, IndirectBlock]] = []
-    lo = 0
-    for tagged, mid, hi in zip(tags, bounds_at, bounds_at):
-        if tagged:
-            blocks.append(
-                IndirectBlock(local_dictionary=values[lo:mid].tolist(), local_ids=values[mid:hi].tolist())
-            )
-        else:
-            blocks.append(DirectBlock(ids=values[lo:mid].tolist()))
-        lo = hi
-    return IndirectEncoded(block_size=b, blocks=blocks, length=n)
+    in_dict = np.repeat(ascending, counts)
+    return IndirectEncoded(
+        block_size=b,
+        tags=BitVector(tags),
+        dict_sizes=k[tags],
+        local_dicts=values[in_dict],
+        payload=values[~in_dict],
+        length=n,
+    )
 
 
 def encode_affine(ids: Sequence[int]) -> AffineEncoded:
@@ -835,8 +851,8 @@ def scan_id_range(encoded: EncodedColumn, interval: IdInterval) -> list[int]:
     """Row positions whose ID lies in the interval, ascending.
 
     Does not materialize the full array: runs, single-valued blocks and the
-    affine form are resolved wholesale, indirect blocks through their local
-    dictionaries.
+    affine form are resolved wholesale, indirect rows through their blocks'
+    local dictionaries.
     """
     norm = interval.normalize()
     if norm is None:

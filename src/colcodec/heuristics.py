@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import optimizer
-from .dictionary import ValueIdArray, id_width_bits, run_lengths
+from .dictionary import ValueIdArray, id_width_bits, ids_of, run_lengths
 from .encodings import SchemeKind
 from .errors import EmptyColumnError
 from .optimizer import ClusterObjective, IndirectObjective
@@ -79,7 +79,7 @@ class SchemeDecision:
 
 
 def compute_stats(array: ValueIdArray | Sequence[int]) -> ColumnStats:
-    ids = getattr(array, "ids", array)
+    ids = ids_of(array)
     n = len(ids)
     if n == 0:
         raise EmptyColumnError("cannot compute stats of an empty column")
@@ -122,7 +122,7 @@ def decide_scheme(
     from them instead of sweeping again. Indirect sizes are taken at the
     array's ID width, or at the width of its largest ID for a plain list.
     """
-    ids = getattr(array, "ids", array)
+    ids = ids_of(array)
     cluster_trace, indirect_trace = sweeps or (None, None)
 
     if stats.distinct == stats.n:

@@ -14,11 +14,11 @@ cluster across run boundaries.
 Indirect's block size is the argmin of its exact encoded size. For each
 candidate, the full aligned blocks are reshaped to a (blocks, b) array and
 each row is sorted, so a row's distinct IDs k and run lengths c come from
-comparing neighbours. A block costs what ``encode_indirect`` stores for it:
-its local dictionary, local IDs and 64-bit local-dictionary count when that
-is strictly smaller than its IDs at global width W, else those IDs. The
-trailing partial block, one tag bit per block and the 64-bit indirect-block
-count are added.
+comparing neighbours. A block costs what ``encode_indirect`` stores for it,
+priced by the encoder's own rule, ``encodings.indirect_block_bits``: its
+local dictionary, local IDs and 64-bit local-dictionary count when that
+pays, else its IDs at global width W. The trailing partial block, one tag
+bit per block and the 64-bit indirect-block count are added.
 
 The paper's own indirect objective, the mean b-ary block entropy, is still
 reported: entropy is summed over full aligned blocks only (a trailing
@@ -38,8 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dictionary import RunLengthView, ValueIdArray, run_lengths
-from .encodings import COUNT_BITS, check_block_size
+from .dictionary import RunLengthView, ValueIdArray, ids_of, run_lengths
+from .encodings import COUNT_BITS, check_block_size, indirect_block_bits, run_starts
 from .errors import EmptyColumnError
 
 __all__ = [
@@ -108,21 +108,10 @@ def candidate_block_sizes(n: int, sqrt_bound: bool = False) -> list[int]:
     return candidates
 
 
-def _ids_of(array: ValueIdArray | Sequence[int]) -> Sequence[int]:
-    return getattr(array, "ids", array)
-
-
 def _sorted_blocks(ids: np.ndarray, block_size: int) -> np.ndarray:
     """The full aligned blocks as a (blocks, block_size) array, each row sorted."""
     full = len(ids) // block_size
     return np.sort(ids[: full * block_size].reshape(full, block_size), axis=1)
-
-
-def _run_starts(rows: np.ndarray) -> np.ndarray:
-    """True where a sorted row's run of equal IDs begins."""
-    starts = np.ones(rows.shape, dtype=bool)
-    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    return starts
 
 
 def _clustered_from_counts(counts: np.ndarray, block_size: int) -> int:
@@ -144,7 +133,7 @@ def clustered_block_count(runs: RunLengthView, block_size: int) -> int:
 def clustered_block_count_oracle(ids: Sequence[int], block_size: int) -> int:
     """Reference count by walking every aligned full block."""
     check_block_size(block_size)
-    ids = list(_ids_of(ids))
+    ids = list(ids_of(ids))
     s = 0
     for start in range(0, len(ids) - block_size + 1, block_size):
         block = ids[start : start + block_size]
@@ -177,7 +166,7 @@ def cluster_sweep(
     counter: VisitCounter | None = None,
 ) -> list[ClusterObjective]:
     """Evaluate F(b) for every candidate block size, ascending."""
-    ids = _ids_of(array)
+    ids = ids_of(array)
     candidates = candidate_block_sizes(len(ids), sqrt_bound)
     _, counts = run_lengths(ids)
     if counter:
@@ -225,7 +214,7 @@ def block_entropy(block: Sequence[int], base: int) -> float:
 def mean_block_entropy(array: ValueIdArray | Sequence[int], block_size: int) -> EntropyObjective:
     """Mean b-ary entropy: full blocks summed, ceil(N/b) in the denominator."""
     check_block_size(block_size)
-    ids = _ids_of(array)
+    ids = ids_of(array)
     n = len(ids)
     total = 0.0
     for start in range(0, n - block_size + 1, block_size):
@@ -245,12 +234,12 @@ def entropy_sweep(
     Each sorted row of b IDs scores (b*log2 b - sum c*log2 c) / (b*log2 b)
     over its run lengths c, which is ``block_entropy`` of that block.
     """
-    ids = np.asarray(_ids_of(array), dtype=np.int64)
+    ids = np.asarray(ids_of(array), dtype=np.int64)
     n = len(ids)
     objectives = []
     for b in candidate_block_sizes(n, sqrt_bound):
         rows = _sorted_blocks(ids, b)
-        starts = np.flatnonzero(_run_starts(rows))
+        starts = np.flatnonzero(run_starts(rows))
         c = np.diff(starts, append=rows.size)
         scale = b * (b.bit_length() - 1)  # b * log2 b, exact for a power of two
         per_row = scale - np.bincount(starts // b, weights=c * np.log2(c), minlength=len(rows))
@@ -280,14 +269,6 @@ def optimal_indirect_block_size(
     return best_entropy(entropy_sweep(array, sqrt_bound=sqrt_bound, counter=counter))
 
 
-def _indirect_block_bits(k: np.ndarray, rows: int, width: int) -> np.ndarray:
-    """Bits of blocks of ``rows`` rows holding k distinct IDs, as encode_indirect stores them."""
-    local_width = np.maximum(np.frexp(k - 1)[1], 1)  # id_width_bits(k), elementwise
-    local = k * width + rows * local_width
-    direct = rows * width
-    return np.where(local < direct, local + COUNT_BITS, direct)
-
-
 def indirect_size_sweep(
     array: ValueIdArray | Sequence[int], width: int, *, sqrt_bound: bool = False
 ) -> list[IndirectObjective]:
@@ -297,16 +278,16 @@ def indirect_size_sweep(
     equals ``encoded_size_bits(encode_array(..., SchemeKind.INDIRECT, b))``
     without building a block.
     """
-    ids = np.asarray(_ids_of(array), dtype=np.int64)
+    ids = np.asarray(ids_of(array), dtype=np.int64)
     n = len(ids)
     objectives = []
     for b in candidate_block_sizes(n, sqrt_bound):
         rows = _sorted_blocks(ids, b)
-        k = np.count_nonzero(_run_starts(rows), axis=1)
-        bits = int(_indirect_block_bits(k, b, width).sum())
+        k = np.count_nonzero(run_starts(rows), axis=1)
+        bits = int(indirect_block_bits(k, b, width)[1].sum())
         tail = ids[rows.size :]
         if tail.size:
-            bits += int(_indirect_block_bits(np.unique(tail).size, tail.size, width))
+            bits += int(indirect_block_bits(np.unique(tail).size, tail.size, width)[1])
         bits += COUNT_BITS + -(-n // b)  # the indirect-block count, one tag bit per block
         objectives.append(IndirectObjective(b=b, bits=bits))
     return objectives

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from typing import Sequence
 
@@ -17,8 +18,10 @@ import numpy as np
 from colcodec import (
     InvariantViolationError,
     TruncatedPayloadError,
+    BitVector,
     EncodedColumn,
     IdInterval,
+    IndirectEncoded,
     SchemeKind,
     ValueIdArray,
     decode_array,
@@ -177,7 +180,7 @@ def literal_scan_rle(p, lo: int | None, hi: int | None) -> list[int]:
     hit = _hit(lo, hi)
     out: list[int] = []
     pos = 0
-    for value, count in p.runs:
+    for value, count in zip(_plain(p.values), _plain(p.lengths)):
         if hit(value):
             out.extend(range(pos, pos + count))
         pos += count
@@ -221,6 +224,92 @@ def literal_scan_cluster(p, lo: int | None, hi: int | None) -> list[int]:
     return out
 
 
+def indirect_blocks(p):
+    """Per block of an indirect payload, walked block by block: its local
+    dictionary (None unless tagged) and its payload entries."""
+    sizes = iter(_plain(p.dict_sizes))
+    local_dicts = _plain(p.local_dicts)
+    payload = _plain(p.payload)
+    b = p.block_size
+    at = 0
+    for i, tagged in enumerate(_plain(p.tags.bits)):
+        rows = payload[i * b : (i + 1) * b]
+        if tagged:
+            k = next(sizes)
+            yield local_dicts[at : at + k], rows
+            at += k
+        else:
+            yield None, rows
+
+
+def literal_scan_indirect(p, lo: int | None, hi: int | None) -> list[int]:
+    out: list[int] = []
+    start = 0
+    for local, rows in indirect_blocks(p):
+        if local is not None:
+            # The local dictionary is ascending, so the global interval maps
+            # to a contiguous local-ID range.
+            local_lo = 0 if lo is None else bisect_left(local, lo)
+            local_hi = len(local) - 1 if hi is None else bisect_right(local, hi) - 1
+            if local_lo <= local_hi:
+                out.extend(start + i for i, j in enumerate(rows) if local_lo <= j <= local_hi)
+        else:
+            out.extend(
+                start + i
+                for i, v in enumerate(rows)
+                if (lo is None or v >= lo) and (hi is None or v <= hi)
+            )
+        start += len(rows)
+    return out
+
+
+def literal_encode_indirect(
+    ids: Sequence[int], block_size: int, global_width_bits: int
+) -> IndirectEncoded:
+    """Block by block: a block of k distinct IDs and b_eff rows goes local iff
+    k*W + b_eff*max(1, ceil(log2 k)) < b_eff*W with W = global_width_bits."""
+    tags: list[bool] = []
+    sizes: list[int] = []
+    local_dicts: list[int] = []
+    payload: list[int] = []
+    for start in range(0, len(ids), block_size):
+        block = list(ids[start : start + block_size])
+        local = sorted(set(block))
+        k = len(local)
+        b_eff = len(block)
+        tagged = k * global_width_bits + b_eff * id_width_bits(k) < b_eff * global_width_bits
+        tags.append(tagged)
+        if tagged:
+            index = {v: j for j, v in enumerate(local)}
+            sizes.append(k)
+            local_dicts += local
+            payload += [index[v] for v in block]
+        else:
+            payload += block
+    return IndirectEncoded(
+        block_size=block_size,
+        tags=BitVector(np.array(tags, bool)),
+        dict_sizes=np.array(sizes, np.int64),
+        local_dicts=np.array(local_dicts, np.int64),
+        payload=np.array(payload, np.int64),
+        length=len(ids),
+    )
+
+
+def literal_decode_indirect(p) -> list[int]:
+    out: list[int] = []
+    for local, rows in indirect_blocks(p):
+        out.extend(rows if local is None else map(local.__getitem__, rows))
+    return out
+
+
+def literal_decode_rle(p) -> list[int]:
+    out: list[int] = []
+    for value, count in zip(_plain(p.values), _plain(p.lengths)):
+        out.extend([value] * count)
+    return out
+
+
 def literal_decode_prefix(p) -> list[int]:
     return [p.prefix_id] * p.prefix_count + _plain(p.rest)
 
@@ -253,11 +342,14 @@ LITERAL_SCANS = {
     SchemeKind.RLE: literal_scan_rle,
     SchemeKind.SPARSE: literal_scan_sparse,
     SchemeKind.CLUSTER: literal_scan_cluster,
+    SchemeKind.INDIRECT: literal_scan_indirect,
 }
 LITERAL_DECODERS = {
     SchemeKind.PREFIX: literal_decode_prefix,
+    SchemeKind.RLE: literal_decode_rle,
     SchemeKind.SPARSE: literal_decode_sparse,
     SchemeKind.CLUSTER: literal_decode_cluster,
+    SchemeKind.INDIRECT: literal_decode_indirect,
 }
 
 

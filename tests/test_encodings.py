@@ -12,10 +12,8 @@ import support
 from colcodec import (
     COUNT_BITS,
     Dictionary,
-    DirectBlock,
     EmptyColumnError,
     IdInterval,
-    IndirectBlock,
     InvalidBlockSizeError,
     NotAffineError,
     SchemeKind,
@@ -67,7 +65,7 @@ def test_prefix_rest_never_restarts_the_run():
 
 def test_rle_runs_are_maximal():
     e = encode_rle([0, 0, 1, 2, 2, 2])
-    assert e.runs == [(0, 2), (1, 1), (2, 3)]
+    assert list(zip(e.values.tolist(), e.lengths.tolist())) == [(0, 2), (1, 1), (2, 3)]
     assert decode_rle(e) == [0, 0, 1, 2, 2, 2]
 
 
@@ -122,35 +120,30 @@ def test_cluster_rejects_bad_block_sizes():
 def test_indirect_block_goes_local_when_strictly_cheaper():
     # W=4, b=4, k=2: 2*4 + 4*1 = 12 < 16
     e = encode_indirect([0, 0, 1, 1], 4, 4)
-    (block,) = e.blocks
-    assert isinstance(block, IndirectBlock)
-    assert block.local_dictionary == [0, 1]
-    assert block.local_ids == [0, 0, 1, 1]
+    assert e.tags.bits.tolist() == [True]
+    assert e.local_dicts.tolist() == [0, 1]
+    assert e.payload.tolist() == [0, 0, 1, 1]
     assert decode_indirect(e) == [0, 0, 1, 1]
 
 
 def test_indirect_all_distinct_block_stays_direct():
     # W=4, b=4, k=4: 4*4 + 4*2 = 24 > 16
     e = encode_indirect([5, 6, 7, 8], 4, 4)
-    (block,) = e.blocks
-    assert isinstance(block, DirectBlock)
-    assert block.ids == [5, 6, 7, 8]
+    assert e.tags.bits.tolist() == [False]
+    assert e.payload.tolist() == [5, 6, 7, 8]
 
 
 def test_indirect_cost_tie_stays_direct():
     # W=4, b=8, k=4: 4*4 + 8*2 = 32 == 8*4, not a strict win
     e = encode_indirect([0, 1, 2, 3, 0, 1, 2, 3], 8, 4)
-    (block,) = e.blocks
-    assert isinstance(block, DirectBlock)
+    assert e.tags.bits.tolist() == [False]
 
 
 def test_indirect_partial_tail_uses_actual_length():
     # tail [9, 9]: k=1, cost 1*4 + 2*1 = 6 < 2*4 = 8
     e = encode_indirect([0, 1, 2, 3, 9, 9], 4, 4)
-    direct, tail = e.blocks
-    assert isinstance(direct, DirectBlock)
-    assert isinstance(tail, IndirectBlock)
-    assert tail.local_dictionary == [9]
+    assert e.tags.bits.tolist() == [False, True]
+    assert e.local_dicts.tolist() == [9]
     assert decode_indirect(e) == [0, 1, 2, 3, 9, 9]
 
 
@@ -160,11 +153,10 @@ def test_indirect_local_dictionary_is_sorted_ascending():
         n = int(rng.integers(1, 120))
         ids = [int(i) for i in rng.integers(0, 9, size=n)]
         e = encode_indirect(ids, 8, id_width_bits(9))
-        for block in e.blocks:
-            if isinstance(block, IndirectBlock):
-                d = block.local_dictionary
+        for d, local_ids in support.indirect_blocks(e):
+            if d is not None:
                 assert all(a < b for a, b in zip(d, d[1:]))
-                assert all(0 <= i < len(d) for i in block.local_ids)
+                assert all(0 <= i < len(d) for i in local_ids)
         assert decode_indirect(e) == ids
 
 
@@ -287,16 +279,16 @@ def test_indirect_breakdown_recomputes_per_block_costs():
         e = encode_array(array, SchemeKind.INDIRECT, block_size=8)
         breakdown = encoded_size_breakdown(e)
 
-        blocks = e.payload.blocks
-        indirect = [b for b in blocks if isinstance(b, IndirectBlock)]
-        local_dict_bits = sum(len(b.local_dictionary) * w for b in indirect)
+        blocks = list(support.indirect_blocks(e.payload))
+        indirect = [local for local, _ in blocks if local is not None]
+        local_dict_bits = sum(len(local) * w for local in indirect)
         payload = 0
-        for block in blocks:
-            if isinstance(block, DirectBlock):
-                payload += len(block.ids) * w
+        for local, rows in blocks:
+            if local is None:
+                payload += len(rows) * w
             else:
-                lw = max(1, (len(block.local_dictionary) - 1).bit_length())
-                payload += len(block.local_ids) * lw
+                lw = max(1, (len(local) - 1).bit_length())
+                payload += len(rows) * lw
 
         assert breakdown["indirect_count"] == COUNT_BITS
         assert breakdown["local_dict_counts"] == len(indirect) * COUNT_BITS
@@ -313,15 +305,15 @@ def test_indirect_blocks_only_local_when_strictly_smaller():
         w = id_width_bits(max(ids) + 1)
         array = ValueIdArray(ids=ids, id_width_bits=w)
         e = encode_array(array, SchemeKind.INDIRECT, block_size=16)
-        for block in e.payload.blocks:
-            if isinstance(block, IndirectBlock):
-                k = len(block.local_dictionary)
-                b_eff = len(block.local_ids)
+        for local, rows in support.indirect_blocks(e.payload):
+            if local is not None:
+                k = len(local)
+                b_eff = len(rows)
                 lw = max(1, (k - 1).bit_length())
                 assert k * w + b_eff * lw < b_eff * w
             else:
-                b_eff = len(block.ids)
-                k = len(set(block.ids))
+                b_eff = len(rows)
+                k = len(set(rows))
                 lw = max(1, (k - 1).bit_length())
                 assert k * w + b_eff * lw >= b_eff * w
 
@@ -397,17 +389,25 @@ def test_mask_scans_and_decoders_match_the_literal_loops():
     rng = np.random.default_rng(20261019)
     dtypes = set()
     columns = [[7], [3, 3, 3], [1, 1, 1, 1, 2]]  # n = 1, empty prefix rest and residual
+    columns += [list(range(16)) * 2 + [0, 1, 2]]  # no indirect block pays at b = 2, 4, 16
+    columns += [[200, 200, 7, 7] * 9]  # every indirect block pays at b = 2, 4, 16
     columns += [support.family_column(rng, family, n) for family in support.FAMILIES for n in (1, 2, 5, 33, 300)]
+    blocked = (SchemeKind.CLUSTER, SchemeKind.INDIRECT)
+    tag_mixes = set()  # which of no, some and every indirect block pays
     for ids in columns:
         dict_count = max(ids) + 1
         bounds = [None, -1, 0, ids[len(ids) // 2], dict_count - 1, dict_count, 2**64]
-        plans = [(kind, None) for kind in support.LITERAL_SCANS if kind is not SchemeKind.CLUSTER]
-        plans += [(SchemeKind.CLUSTER, b) for b in (2, 4, 16)]  # trailing partial blocks
+        plans = [(kind, None) for kind in support.LITERAL_SCANS if kind not in blocked]
+        plans += [(kind, b) for kind in blocked for b in (2, 4, 16)]  # trailing partial blocks
         for scheme, block_size in plans:
             for e in encoded_and_read_back(ids, scheme, block_size):
                 dtypes.update(
                     str(v.dtype) for v in vars(e.payload).values() if isinstance(v, np.ndarray)
                 )
+                if scheme is SchemeKind.INDIRECT:
+                    width = support.make_array(ids).id_width_bits
+                    assert e.payload == support.literal_encode_indirect(ids, block_size, width)
+                    tag_mixes.add(frozenset(e.payload.tags.bits.tolist()))
                 if scheme in support.LITERAL_DECODERS:
                     want = support.LITERAL_DECODERS[scheme](e.payload)
                     assert want == ids
@@ -417,11 +417,14 @@ def test_mask_scans_and_decoders_match_the_literal_loops():
                         got = scan_id_range(e, IdInterval(lo=lo, hi=hi))
                         assert got == support.LITERAL_SCANS[scheme](e.payload, lo, hi), (ids, scheme, lo, hi)
     assert {"int64", "uint8", "uint16"} <= dtypes
+    assert {frozenset({False}), frozenset({True}), frozenset({False, True})} <= tag_mixes
 
 
 def test_array_payloads_compare_by_value():
     ids = [2, 2, 5, 5, 5, 5, 1, 2, 300]
-    for scheme, block_size in ((SchemeKind.PREFIX, None), (SchemeKind.SPARSE, None), (SchemeKind.CLUSTER, 2)):
+    plans = [(SchemeKind.PREFIX, None), (SchemeKind.RLE, None), (SchemeKind.SPARSE, None)]
+    plans += [(SchemeKind.CLUSTER, 2), (SchemeKind.INDIRECT, 2)]
+    for scheme, block_size in plans:
         encoded, read_back = encoded_and_read_back(ids, scheme, block_size)
         assert encoded == read_back
         assert encoded.payload == read_back.payload

@@ -35,7 +35,7 @@ from colcodec import (
     scan_id_range,
     write_encoded,
 )
-from colcodec.fileio import HEADER_BYTES, _BitReader, _BitWriter
+from colcodec.fileio import HEADER_BYTES, MAGIC, VERSION, _BitReader, _BitWriter
 
 
 GOLDEN = bytes.fromhex(
@@ -561,6 +561,54 @@ def test_a_large_cluster_block_size_sizes_nothing():
     assert back == encoded
     assert decoded == array.ids
     assert scans == [[0, 1, 2, 4]] * 2
+    assert peak < 1 << 20
+
+
+def test_a_large_indirect_block_size_sizes_nothing():
+    dictionary, array = encode_column("b b b a b".split())
+    tracemalloc.start()
+    try:
+        encoded = encode_array(array, SchemeKind.INDIRECT, 2**31)
+        back = read_encoded(io.BytesIO(write_bytes(dictionary, encoded)))[1]
+        decoded = decode_array(back)
+        scans = [scan_id_range(e, IdInterval(1, 1)) for e in (encoded, back)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == encoded
+    assert decoded == array.ids
+    assert scans == [[0, 1, 2, 4]] * 2
+    assert peak < 1 << 20
+
+
+def claimed_rows_file(scheme: int, rows: int, counts: list[int], packed: int) -> bytes:
+    """A file over the dictionary ["a", "b"] that claims ``rows`` rows."""
+    dictionary = b"".join(len(v).to_bytes(4, "little") + v for v in (b"a", b"b"))
+    return (
+        MAGIC + bytes([VERSION, scheme]) + rows.to_bytes(8, "little") + bytes(4)
+        + (2).to_bytes(8, "little") + dictionary
+        + b"".join(c.to_bytes(8, "little") for c in counts) + bytes([packed])
+    )
+
+
+def test_scans_of_a_claimed_row_count_allocate_by_the_rows_returned():
+    files = {
+        "rle": claimed_rows_file(2, 2**62, [1, 2**62], 0b0),  # one run of id 0
+        "prefix": claimed_rows_file(1, 2**62, [2**62 - 1], 0b10),  # id 0 but the last row
+        "rle past 2**63": claimed_rows_file(2, 2**64 - 1, [2, 2**64 - 2, 1], 0b10),
+        "prefix past 2**63": claimed_rows_file(1, 2**64 - 1, [2**64 - 2], 0b10),
+    }
+    assert [len(data) for data in files.values()] == [53, 45, 61, 45]
+    tracemalloc.start()
+    try:
+        columns = {name: read_encoded(io.BytesIO(data))[1] for name, data in files.items()}
+        misses = [scan_id_range(column, IdInterval(lo=2)) for column in columns.values()]
+        last_rows = [scan_id_range(columns[name], IdInterval(1, 1)) for name in files]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert misses == [[], [], [], []]
+    assert last_rows == [[], [2**62 - 1], [2**64 - 2], [2**64 - 2]]
     assert peak < 1 << 20
 
 
