@@ -94,6 +94,7 @@ __all__ = [
     "COUNT_BITS",
     "check_block_size",
     "run_starts",
+    "indirect_blocks",
     "indirect_block_bits",
     "encode_prefix",
     "decode_prefix",
@@ -129,9 +130,10 @@ class SchemeKind(enum.Enum):
 
 
 def check_block_size(block_size: int) -> None:
-    if block_size < 2 or block_size & (block_size - 1):
+    # 2**31 is the largest power of two the header's u32 block-size field holds.
+    if not 2 <= block_size <= 1 << 31 or block_size & (block_size - 1):
         raise InvalidBlockSizeError(
-            f"block size must be a power of two >= 2, got {block_size}"
+            f"block size must be a power of two from 2 to 2**31, got {block_size}"
         )
 
 
@@ -344,7 +346,7 @@ def _scan_prefix(p: PrefixEncoded, lo: int | None, hi: int | None) -> list[int]:
 def _pack_prefix(p: PrefixEncoded, w: int, out: FieldSink) -> None:
     out.u64s("prefix_count", [p.prefix_count])
     out.bits("prefix_id", [p.prefix_id], w)
-    out.bits("rest", p.rest.tolist(), w)
+    out.bits("rest", p.rest, w)
 
 
 def _unpack_prefix(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> PrefixEncoded:
@@ -381,8 +383,8 @@ def _scan_rle(p: RleEncoded, lo: int | None, hi: int | None) -> list[int]:
 
 def _pack_rle(p: RleEncoded, w: int, out: FieldSink) -> None:
     out.u64s("run_count", [len(p.values)])
-    out.u64s("run_lengths", p.lengths.tolist())
-    out.bits("run_values", p.values.tolist(), w)
+    out.u64s("run_lengths", p.lengths)
+    out.bits("run_values", p.values, w)
 
 
 def _unpack_rle(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> RleEncoded:
@@ -436,8 +438,8 @@ def _scan_sparse(p: SparseEncoded, lo: int | None, hi: int | None) -> list[int]:
 
 def _pack_sparse(p: SparseEncoded, w: int, out: FieldSink) -> None:
     out.bits("dominant_id", [p.dominant_id], w)
-    out.bits("positions", p.positions.bits.tolist(), 1)
-    out.bits("residual", p.residual.tolist(), w)
+    out.bits("positions", p.positions.bits, 1)
+    out.bits("residual", p.residual, w)
 
 
 def _unpack_sparse(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> SparseEncoded:
@@ -500,9 +502,9 @@ def _scan_cluster(p: ClusterEncoded, lo: int | None, hi: int | None) -> list[int
 
 
 def _pack_cluster(p: ClusterEncoded, w: int, out: FieldSink) -> None:
-    out.bits("flags", p.flags.bits.tolist(), 1)
-    out.bits("id_payload", p.singles.tolist(), w)
-    out.bits("id_payload", p.uncompressed.tolist(), w)
+    out.bits("flags", p.flags.bits, 1)
+    out.bits("id_payload", p.singles, w)
+    out.bits("id_payload", p.uncompressed, w)
 
 
 def _unpack_cluster(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> ClusterEncoded:
@@ -549,6 +551,16 @@ def indirect_block_bits(
     return pays, np.where(pays, local + COUNT_BITS, direct)
 
 
+def indirect_blocks(ids: np.ndarray, block_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column cut into indirect blocks, as a (blocks, b) array, and each
+    block's row count. The trailing block is padded with its last ID, which
+    adds no distinct ID; b is the column length when that is shorter."""
+    n = len(ids)
+    b = min(block_size, n)  # a block as long as the column is the only one
+    rows = np.append(ids, np.full(-n % b, ids[-1])).reshape(-1, b)
+    return rows, np.minimum(b, n - b * np.arange(len(rows)))
+
+
 def encode_indirect(
     ids: Sequence[int], block_size: int, global_width_bits: int
 ) -> IndirectEncoded:
@@ -557,16 +569,12 @@ def encode_indirect(
     check_block_size(block_size)
     _require_rows(ids)
     ids = np.array(ids, np.int64)
-    n = len(ids)
-    b = min(block_size, n)  # a block as long as the column is the only one
-    blocks = -(-n // b)
-    # The trailing block is padded with its last ID, which adds no distinct ID.
-    rows = np.append(ids, np.full(blocks * b - n, ids[-1])).reshape(blocks, b)
+    rows, sizes = indirect_blocks(ids, block_size)
     order = np.argsort(rows, axis=1)
     ranked = np.take_along_axis(rows, order, axis=1)
     starts = run_starts(ranked)
     k = np.count_nonzero(starts, axis=1)
-    tags, _ = indirect_block_bits(k, np.minimum(b, n - b * np.arange(blocks)), global_width_bits)
+    tags, _ = indirect_block_bits(k, sizes, global_width_bits)
     local = np.empty_like(rows)
     np.put_along_axis(local, order, np.cumsum(starts, axis=1) - 1, axis=1)
     return IndirectEncoded(
@@ -574,8 +582,8 @@ def encode_indirect(
         tags=BitVector(tags),
         dict_sizes=k[tags],
         local_dicts=ranked[starts & tags[:, None]],
-        payload=np.where(tags[:, None], local, rows).ravel()[:n],
-        length=n,
+        payload=np.where(tags[:, None], local, rows).ravel()[: len(ids)],
+        length=len(ids),
     )
 
 
@@ -608,14 +616,14 @@ def _pack_indirect(p: IndirectEncoded, w: int, out: FieldSink) -> None:
     k = np.zeros(len(tags), np.int64)
     k[tags] = p.dict_sizes
     out.u64s("indirect_count", [len(p.dict_sizes)])
-    out.u64s("local_dict_counts", p.dict_sizes.tolist())
-    out.bits("block_tags", tags.tolist(), 1)
+    out.u64s("local_dict_counts", p.dict_sizes)
+    out.bits("block_tags", tags, 1)
     # Per block: its local dictionary (empty unless tagged), then its rows.
-    local_dicts, payload, b = p.local_dicts.tolist(), p.payload.tolist(), p.block_size
     widths = np.where(tags, _id_widths(k), w).tolist()
-    for i, (end, size, width) in enumerate(zip(np.cumsum(k).tolist(), k.tolist(), widths)):
-        out.bits("local_dicts", local_dicts[end - size : end], w)
-        out.bits("block_payload", payload[i * b : (i + 1) * b], width)
+    starts = range(0, p.length, p.block_size)
+    for start, end, size, width in zip(starts, np.cumsum(k).tolist(), k.tolist(), widths):
+        out.bits("local_dicts", p.local_dicts[end - size : end], w)
+        out.bits("block_payload", p.payload[start : start + p.block_size], width)
 
 
 def _unpack_indirect(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> IndirectEncoded:
@@ -762,7 +770,8 @@ class Codec:
     bounds, None meaning unbounded. ``pack`` takes the payload, the ID width
     and a field sink, and names every field it writes, even an empty one:
     ``u64s(name, values)`` for the counts region, ``bits(name, values,
-    width)`` for the packed region. The breakdown's keys are these names.
+    width)`` for the packed region. It hands the sink its arrays as stored,
+    not converted to lists. The breakdown's keys are these names.
     ``unpack`` reads both regions back from a bit reader positioned at the
     counts, given (rows, block size, dictionary size, ID width).
     """

@@ -16,7 +16,7 @@ class IdOutOfRangeError(ColcodecError):
 
 
 class InvalidBlockSizeError(ColcodecError):
-    """Block size must be a power of two >= 2."""
+    """Block size must be a power of two from 2 to 2**31 (a u32 header field)."""
 
 
 class NotAffineError(ColcodecError):

@@ -24,11 +24,12 @@ encoder choice rules, so files a different encoder would not have produced
 still load as long as they decode consistently.
 
 The packed region is read and written whole-array with numpy, a fixed-size
-chunk of values per pass, not one Python call per value. A read checks that
-the bits it needs are present before it allocates anything, so a row count
-the file only claims raises ``TruncatedPayloadError`` instead of sizing an
-array. Where the checks of values already read and a truncation could both
-fire, the one that comes first in the stream is raised, with the message and
+chunk of values per pass, not one Python call per value; the writer packs
+the arrays the codecs store, as they are. A read checks that the bits it
+needs are present before it allocates anything, so a row count the file
+only claims raises ``TruncatedPayloadError`` instead of sizing an array.
+Where the checks of values already read and a truncation could both fire,
+the one that comes first in the stream is raised, with the message and
 offset a value-by-value reader would give.
 """
 
@@ -37,7 +38,6 @@ from __future__ import annotations
 import csv
 import io
 import struct
-from itertools import chain, islice
 from typing import BinaryIO, Sequence
 
 import numpy as np
@@ -86,8 +86,10 @@ def _uint(nbits: int) -> np.dtype:
 class _BitWriter:
     """Field sink for files: u64 counts, then values packed LSB-first within bytes.
 
-    ``bits`` only records a field; ``getvalue`` packs all of them at once, a
-    chunk of values at a time, and pads once at the end.
+    ``bits`` records a field as given, an array or a short list. ``getvalue``
+    joins all fields after an empty array (so none at all joins too) into
+    the narrowest unsigned dtype holding the widest one, wrapping, which keeps
+    each value's low bits; it packs that a chunk at a time and pads once.
     """
 
     def __init__(self) -> None:
@@ -96,23 +98,21 @@ class _BitWriter:
         self._widths: list[int] = []
 
     def u64s(self, name: str, values: Sequence[int]) -> None:
-        self._counts += struct.pack(f"<{len(values)}Q", *values)
+        self._counts += np.asarray(values, "<u8").tobytes()
 
     def bits(self, name: str, values: Sequence[int], nbits: int) -> None:
-        if len(values):
-            self._fields.append(values)
-            self._widths.append(nbits)
+        self._fields.append(values)
+        self._widths.append(nbits)
 
     def getvalue(self) -> bytes:
         out = bytearray(self._counts)
-        counts = np.fromiter(map(len, self._fields), np.int64, len(self._fields))
-        widths = np.repeat(np.array(self._widths, np.uint8), counts)  # one per value
-        stream = chain.from_iterable(self._fields)
+        dtype = _uint(max(self._widths, default=1))
+        values = np.concatenate([np.empty(0, dtype), *self._fields], dtype=dtype, casting="unsafe")
+        widths = np.repeat(np.array(self._widths, np.uint8), [len(f) for f in self._fields])
         carry = np.zeros(0, np.uint8)  # the bits of earlier chunks short of a byte
         for start in range(0, len(widths), _CHUNK):
-            chunk = widths[start : start + _CHUNK]
-            values = np.fromiter(islice(stream, len(chunk)), _uint(int(chunk.max())), len(chunk))
-            bits = np.concatenate((carry, _bit_stream(values, chunk)))
+            chunk = slice(start, start + _CHUNK)
+            bits = np.concatenate((carry, _bit_stream(values[chunk], widths[chunk])))
             whole = len(bits) - len(bits) % 8
             out += np.packbits(bits[:whole], bitorder="little").tobytes()
             carry = bits[whole:]

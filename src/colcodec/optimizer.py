@@ -12,18 +12,18 @@ rows close one single-valued block. Runs are maximal, so blocks never
 cluster across run boundaries.
 
 Indirect's block size is the argmin of its exact encoded size. For each
-candidate, the full aligned blocks are reshaped to a (blocks, b) array and
-each row is sorted, so a row's distinct IDs k and run lengths c come from
-comparing neighbours. A block costs what ``encode_indirect`` stores for it,
-priced by the encoder's own rule, ``encodings.indirect_block_bits``: its
-local dictionary, local IDs and 64-bit local-dictionary count when that
-pays, else its IDs at global width W. The trailing partial block, one tag
-bit per block and the 64-bit indirect-block count are added.
+candidate, the column is cut into a (blocks, b) array as the encoder cuts
+it (``encodings.indirect_blocks``) and each row is sorted, so a row's
+distinct IDs k and run lengths c come from comparing neighbours. A block
+costs what ``encode_indirect`` stores for it, priced by the encoder's own
+rule, ``encodings.indirect_block_bits``: its local dictionary, local IDs and
+64-bit local-dictionary count when that pays, else its IDs at global width
+W. One tag bit per block and the 64-bit indirect-block count are added.
 
 The paper's own indirect objective, the mean b-ary block entropy, is still
 reported: entropy is summed over full aligned blocks only (a trailing
 partial block contributes nothing) and divided by ceil(N/b) blocks, so a
-long partial tail deflates the mean. Its sweep uses the same sorted rows.
+long partial tail deflates the mean. Its sweep sorts the full blocks alone.
 
 Ties break toward the smallest candidate in every sweep; an array where no
 block ever clusters yields (b=2, F=0).
@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .dictionary import RunLengthView, ValueIdArray, ids_of, run_lengths
-from .encodings import COUNT_BITS, check_block_size, indirect_block_bits, run_starts
+from .encodings import COUNT_BITS, check_block_size, indirect_block_bits, indirect_blocks, run_starts
 from .errors import EmptyColumnError
 
 __all__ = [
@@ -106,12 +106,6 @@ def candidate_block_sizes(n: int, sqrt_bound: bool = False) -> list[int]:
         kept = [b for b in candidates if b * b <= n]
         candidates = kept or candidates[:1]
     return candidates
-
-
-def _sorted_blocks(ids: np.ndarray, block_size: int) -> np.ndarray:
-    """The full aligned blocks as a (blocks, block_size) array, each row sorted."""
-    full = len(ids) // block_size
-    return np.sort(ids[: full * block_size].reshape(full, block_size), axis=1)
 
 
 def _clustered_from_counts(counts: np.ndarray, block_size: int) -> int:
@@ -238,7 +232,7 @@ def entropy_sweep(
     n = len(ids)
     objectives = []
     for b in candidate_block_sizes(n, sqrt_bound):
-        rows = _sorted_blocks(ids, b)
+        rows = np.sort(ids[: n - n % b].reshape(-1, b), axis=1)  # the full blocks
         starts = np.flatnonzero(run_starts(rows))
         c = np.diff(starts, append=rows.size)
         scale = b * (b.bit_length() - 1)  # b * log2 b, exact for a power of two
@@ -276,19 +270,15 @@ def indirect_size_sweep(
 
     ``width`` is the global ID width W the column is encoded at. Each value
     equals ``encoded_size_bits(encode_array(..., SchemeKind.INDIRECT, b))``
-    without building a block.
+    without encoding the column.
     """
     ids = np.asarray(ids_of(array), dtype=np.int64)
-    n = len(ids)
     objectives = []
-    for b in candidate_block_sizes(n, sqrt_bound):
-        rows = _sorted_blocks(ids, b)
-        k = np.count_nonzero(run_starts(rows), axis=1)
-        bits = int(indirect_block_bits(k, b, width)[1].sum())
-        tail = ids[rows.size :]
-        if tail.size:
-            bits += int(indirect_block_bits(np.unique(tail).size, tail.size, width)[1])
-        bits += COUNT_BITS + -(-n // b)  # the indirect-block count, one tag bit per block
+    for b in candidate_block_sizes(len(ids), sqrt_bound):
+        rows, sizes = indirect_blocks(ids, b)
+        k = np.count_nonzero(run_starts(np.sort(rows, axis=1)), axis=1)
+        bits = int(indirect_block_bits(k, sizes, width)[1].sum())
+        bits += COUNT_BITS + len(rows)  # the indirect-block count, one tag bit per block
         objectives.append(IndirectObjective(b=b, bits=bits))
     return objectives
 

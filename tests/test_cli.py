@@ -155,12 +155,15 @@ def test_compress_explicit_block_size_wins(capsys, tmp_path):
 def test_compress_rejects_bad_block_size(capsys, tmp_path):
     csv = write_csv(tmp_path, SORTED_VALUES)
     out_file = tmp_path / "col.bcc1"
-    code, _, err = run(
-        capsys,
-        ["compress", csv, "--out", str(out_file), "--scheme", "cluster", "--block-size", "3"],
-    )
-    assert code == 1
-    assert "InvalidBlockSizeError" in err
+    for scheme in ("cluster", "indirect"):
+        for block_size in ("3", "4294967296"):  # 2**32 overflows the u32 header field
+            code, _, err = run(
+                capsys,
+                ["compress", csv, "--out", str(out_file), "--scheme", scheme, "--block-size", block_size],
+            )
+            assert code == 1
+            assert "InvalidBlockSizeError" in err
+            assert not out_file.exists()
 
 
 def test_compress_affine_needs_a_sequential_column(capsys, tmp_path):

@@ -112,7 +112,7 @@ def test_cluster_trailing_partial_block_is_never_flagged():
 
 
 def test_cluster_rejects_bad_block_sizes():
-    for b in (0, 1, 3, 6):
+    for b in (0, 1, 3, 6, 1 << 32):
         with pytest.raises(InvalidBlockSizeError):
             encode_cluster([0, 0], b)
 

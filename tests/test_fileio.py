@@ -365,28 +365,36 @@ def random_plan(rng: random.Random, long: bool) -> tuple[list[int], list[list[in
     return counts, fields
 
 
+# The dtypes a field may arrive in: the encoders' bool and int64 arrays, and
+# every unsigned dtype the reader returns (uint32 and uint64 above 16 bits).
+DTYPES = (("bool", 1), ("uint8", 8), ("uint16", 16), ("uint32", 32), ("int64", 63), ("uint64", 64))
+
+
 def array_dtypes(rng: random.Random, fields) -> list:
-    """Per field, a numpy dtype to pass its values as (bool, uint8, uint16 or
-    int64, wide enough for its width), or None to pass a list."""
+    """Per field, a numpy dtype to pass its values as, wide enough for its
+    widest value, or None to pass a list."""
     out = []
     for widths in fields:
         nbits = max(widths, default=1)
-        fits = [d for d, top in (("bool", 1), ("uint8", 8), ("uint16", 16), ("int64", 63)) if nbits <= top]
+        fits = [d for d, top in DTYPES if nbits <= top]
         out.append(rng.choice(fits) if rng.random() < 0.5 else None)
     return out
 
 
 def write_plan(sink, rng: random.Random, counts, fields, dtypes=None) -> bytes:
-    sink.u64s("counts", counts)
+    """Write the plan's values, drawn from ``rng``, as lists; with ``dtypes``,
+    the counts as one uint64 array and each field typed by ``dtypes`` as an
+    array (a mixed-width field as one-element slices of one array)."""
+    sink.u64s("counts", np.array(counts, np.uint64) if dtypes else counts)
     for k, widths in enumerate(fields):
+        values = [rng.getrandbits(nbits) for nbits in widths]
+        if dtypes and dtypes[k]:
+            values = np.array(values, dtypes[k])
         if len(set(widths)) == 1:
-            values = [rng.getrandbits(widths[0]) for _ in widths]
-            if dtypes and dtypes[k]:
-                values = np.array(values, dtypes[k])
             sink.bits("field", values, widths[0])
         else:  # one call per value, as indirect's pack calls once per block
-            for nbits in widths:
-                sink.bits("field", [rng.getrandbits(nbits)], nbits)
+            for i, nbits in enumerate(widths):
+                sink.bits("field", values[i : i + 1], nbits)
     return sink.getvalue()
 
 
