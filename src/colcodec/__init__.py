@@ -21,7 +21,6 @@ from .dictionary import (
 from .encodings import (
     COUNT_BITS,
     AffineEncoded,
-    BitVector,
     ClusterEncoded,
     EncodedColumn,
     IndirectEncoded,

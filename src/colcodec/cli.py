@@ -333,7 +333,8 @@ def _verification_checks(
         scans_ok = True
         for _ in range(8):
             interval = _random_interval(rng, len(dictionary.values) - 1)
-            want = [i for i, v in enumerate(ids) if interval.contains(v)]
+            lo, hi = interval.normalize() or (1, 0)  # empty: no ID is >= 1 and <= 0
+            want = [i for i, v in enumerate(ids) if (lo is None or lo <= v) and (hi is None or v <= hi)]
             for column in (encoded, read_encoded):  # as encoded, and as a file holds it
                 scans_ok = scans_ok and encodings.scan_id_range(column, interval) == want
         checks.append((f"scan equivalence {kind.value}", scans_ok))

@@ -136,13 +136,11 @@ def encode_column(values: Sequence[str]) -> tuple[Dictionary, ValueIdArray]:
 def decode_column(dictionary: Dictionary, array: ValueIdArray) -> list[str]:
     """Materialize the original rows. Inverse of encode_column."""
     n = len(dictionary.values)
-    for row, value_id in enumerate(array.ids):
-        if not 0 <= value_id < n:
-            raise IdOutOfRangeError(
-                f"id {value_id} at row {row} outside dictionary of {n} values"
-            )
-    values = dictionary.values
-    return [values[i] for i in array.ids]
+    ids = array.ids
+    if len(ids) and (min(ids) < 0 or max(ids) >= n):
+        row = next(row for row, value_id in enumerate(ids) if not 0 <= value_id < n)
+        raise IdOutOfRangeError(f"id {ids[row]} at row {row} outside dictionary of {n} values")
+    return list(map(dictionary.values.__getitem__, ids))
 
 
 def predicate_to_id_range(

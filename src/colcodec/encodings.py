@@ -23,8 +23,8 @@ bits, bit vectors cost one bit per entry. ``encoded_size_breakdown`` tallies
 them by the field names ``pack`` writes; ``encoded_size_bits`` is their sum.
 
 Prefix, RLE, sparse, cluster and indirect payloads hold their per-row,
-per-run and per-block sequences as numpy arrays (``BitVector.bits`` a bool
-array), and payloads compare by value, so an encoder's int64 arrays equal
+per-run and per-block sequences as numpy arrays (bit vectors as bool
+arrays), and payloads compare by value, so an encoder's int64 arrays equal
 the narrower unsigned arrays a file is read into. Encoders and decoders work
 whole-array; ``decode_array`` returns a list of ints.
 
@@ -81,7 +81,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SchemeKind",
-    "BitVector",
     "PrefixEncoded",
     "RleEncoded",
     "SparseEncoded",
@@ -154,19 +153,6 @@ class _ByValue:
 
 
 @dataclass(frozen=True, eq=False)
-class BitVector(_ByValue):
-    """Plain bit sequence; index order is row/block order."""
-
-    bits: np.ndarray  # bool
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def popcount(self) -> int:
-        return int(np.count_nonzero(self.bits))
-
-
-@dataclass(frozen=True, eq=False)
 class PrefixEncoded(_ByValue):
     prefix_id: int
     prefix_count: int
@@ -182,14 +168,14 @@ class RleEncoded(_ByValue):
 @dataclass(frozen=True, eq=False)
 class SparseEncoded(_ByValue):
     dominant_id: int
-    positions: BitVector  # one bit per row, set where the dominant ID occurs
+    positions: np.ndarray  # bool, one per row, set where the dominant ID occurs
     residual: np.ndarray  # the other rows' IDs, in row order
 
 
 @dataclass(frozen=True, eq=False)
 class ClusterEncoded(_ByValue):
     block_size: int
-    flags: BitVector  # one bit per block, set = single-valued full block
+    flags: np.ndarray  # bool, one per block, set = single-valued full block
     singles: np.ndarray  # one ID per flagged block, in block order
     uncompressed: np.ndarray  # the unflagged blocks' IDs, in row order
     length: int
@@ -198,7 +184,7 @@ class ClusterEncoded(_ByValue):
 @dataclass(frozen=True, eq=False)
 class IndirectEncoded(_ByValue):
     block_size: int
-    tags: BitVector  # one bit per block, set = the block stores a local dictionary
+    tags: np.ndarray  # bool, one per block, set = the block stores a local dictionary
     dict_sizes: np.ndarray  # one local dictionary size per tagged block, in block order
     local_dicts: np.ndarray  # the tagged blocks' ascending distinct IDs, concatenated
     payload: np.ndarray  # one ID per row: local in a tagged block, else global
@@ -418,13 +404,11 @@ def encode_sparse(ids: Sequence[int]) -> SparseEncoded:
     values, counts = np.unique(ids, return_counts=True)
     dominant = int(values[np.argmax(counts)])  # values ascend; argmax takes the first
     present = ids == dominant
-    return SparseEncoded(
-        dominant_id=dominant, positions=BitVector(present), residual=ids[~present]
-    )
+    return SparseEncoded(dominant_id=dominant, positions=present, residual=ids[~present])
 
 
 def decode_sparse(encoded: SparseEncoded) -> list[int]:
-    present = encoded.positions.bits
+    present = encoded.positions
     out = np.full(len(present), encoded.dominant_id, np.int64)
     out[~present] = encoded.residual
     return out.tolist()
@@ -432,13 +416,13 @@ def decode_sparse(encoded: SparseEncoded) -> list[int]:
 
 def _scan_sparse(p: SparseEncoded, lo: int | None, hi: int | None) -> list[int]:
     mask = np.full(len(p.positions), _hits(np.asarray(p.dominant_id), lo, hi))
-    mask[~p.positions.bits] = _hits(p.residual, lo, hi)
+    mask[~p.positions] = _hits(p.residual, lo, hi)
     return _rows(mask)
 
 
 def _pack_sparse(p: SparseEncoded, w: int, out: FieldSink) -> None:
     out.bits("dominant_id", [p.dominant_id], w)
-    out.bits("positions", p.positions.bits, 1)
+    out.bits("positions", p.positions, 1)
     out.bits("residual", p.residual, w)
 
 
@@ -450,7 +434,7 @@ def _unpack_sparse(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> S
     if i is not None:
         _check_id(int(residual[i]), dict_count, "residual id", br.position)
         raise InvariantViolationError("dominant id in residual", br.position)
-    return SparseEncoded(dominant_id=dominant, positions=BitVector(bits), residual=residual)
+    return SparseEncoded(dominant_id=dominant, positions=bits, residual=residual)
 
 
 def encode_cluster(ids: Sequence[int], block_size: int) -> ClusterEncoded:
@@ -469,7 +453,7 @@ def encode_cluster(ids: Sequence[int], block_size: int) -> ClusterEncoded:
     flags[:full] = (blocks == blocks[:, :1]).all(axis=1)
     return ClusterEncoded(
         block_size=block_size,
-        flags=BitVector(flags),
+        flags=flags,
         singles=blocks[flags[:full], 0],
         uncompressed=ids[~_flagged_rows(flags, block_size, n)],
         length=n,
@@ -486,7 +470,7 @@ def _flagged_rows(flags: np.ndarray, b: int, n: int) -> np.ndarray:
 
 
 def decode_cluster(encoded: ClusterEncoded) -> list[int]:
-    flagged = _flagged_rows(encoded.flags.bits, encoded.block_size, encoded.length)
+    flagged = _flagged_rows(encoded.flags, encoded.block_size, encoded.length)
     out = np.empty(encoded.length, np.int64)
     out[flagged] = np.repeat(encoded.singles, encoded.block_size)
     out[~flagged] = encoded.uncompressed
@@ -494,7 +478,7 @@ def decode_cluster(encoded: ClusterEncoded) -> list[int]:
 
 
 def _scan_cluster(p: ClusterEncoded, lo: int | None, hi: int | None) -> list[int]:
-    flagged = _flagged_rows(p.flags.bits, p.block_size, p.length)
+    flagged = _flagged_rows(p.flags, p.block_size, p.length)
     mask = np.empty(p.length, bool)
     mask[flagged] = np.repeat(_hits(p.singles, lo, hi), p.block_size)
     mask[~flagged] = _hits(p.uncompressed, lo, hi)
@@ -502,7 +486,7 @@ def _scan_cluster(p: ClusterEncoded, lo: int | None, hi: int | None) -> list[int
 
 
 def _pack_cluster(p: ClusterEncoded, w: int, out: FieldSink) -> None:
-    out.bits("flags", p.flags.bits, 1)
+    out.bits("flags", p.flags, 1)
     out.bits("id_payload", p.singles, w)
     out.bits("id_payload", p.uncompressed, w)
 
@@ -516,7 +500,7 @@ def _unpack_cluster(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> 
     uncompressed = _read_ids(br, n - s * b, w, dict_count, "id")
     return ClusterEncoded(
         block_size=b,
-        flags=BitVector(flags),
+        flags=flags,
         singles=singles,
         uncompressed=uncompressed,
         length=n,
@@ -579,7 +563,7 @@ def encode_indirect(
     np.put_along_axis(local, order, np.cumsum(starts, axis=1) - 1, axis=1)
     return IndirectEncoded(
         block_size=block_size,
-        tags=BitVector(tags),
+        tags=tags,
         dict_sizes=k[tags],
         local_dicts=ranked[starts & tags[:, None]],
         payload=np.where(tags[:, None], local, rows).ravel()[: len(ids)],
@@ -590,7 +574,7 @@ def encode_indirect(
 def _dict_starts(p: IndirectEncoded) -> tuple[np.ndarray, np.ndarray]:
     """Per row: whether its block is tagged, and where the block's local
     dictionary starts in ``local_dicts`` (int64, whatever the payload's dtype)."""
-    tags = p.tags.bits
+    tags = p.tags
     starts = np.zeros(len(tags), np.int64)
     starts[tags] = np.cumsum(p.dict_sizes) - p.dict_sizes
     block = np.arange(p.length) // p.block_size
@@ -612,7 +596,7 @@ def _scan_indirect(p: IndirectEncoded, lo: int | None, hi: int | None) -> list[i
 
 
 def _pack_indirect(p: IndirectEncoded, w: int, out: FieldSink) -> None:
-    tags = p.tags.bits
+    tags = p.tags
     k = np.zeros(len(tags), np.int64)
     k[tags] = p.dict_sizes
     out.u64s("indirect_count", [len(p.dict_sizes)])
@@ -700,7 +684,7 @@ def _unpack_indirect(br: _BitReader, n: int, b: int, dict_count: int, w: int) ->
     in_dict = np.repeat(ascending, counts)
     return IndirectEncoded(
         block_size=b,
-        tags=BitVector(tags),
+        tags=tags,
         dict_sizes=k[tags],
         local_dicts=values[in_dict],
         payload=values[~in_dict],
@@ -713,13 +697,14 @@ def encode_affine(ids: Sequence[int]) -> AffineEncoded:
     n = len(ids)
     if n < 2:
         raise NotAffineError(f"affine encoding needs at least 2 rows, got {n}")
-    step = ids[1] - ids[0]
+    strides = np.diff(np.asarray(ids, np.int64))  # stride i leads into row i + 1
+    step = int(strides[0])
     if step not in (1, -1):
         raise NotAffineError(f"stride between rows 0 and 1 is {step}, not +-1")
-    for i in range(2, n):
-        if ids[i] - ids[i - 1] != step:
-            raise NotAffineError(f"stride breaks at row {i}")
-    return AffineEncoded(start_id=ids[0], step=step, length=n)
+    broken = _first(strides != step)
+    if broken is not None:
+        raise NotAffineError(f"stride breaks at row {broken + 1}")
+    return AffineEncoded(start_id=int(ids[0]), step=step, length=n)
 
 
 def decode_affine(encoded: AffineEncoded) -> list[int]:

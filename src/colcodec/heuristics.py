@@ -19,7 +19,6 @@ should surface them.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import optimizer
 from .dictionary import ValueIdArray, id_width_bits, ids_of, run_lengths
-from .encodings import SchemeKind
+from .encodings import SchemeKind, run_starts
 from .errors import EmptyColumnError
 from .optimizer import ClusterObjective, IndirectObjective
 
@@ -83,12 +82,15 @@ def compute_stats(array: ValueIdArray | Sequence[int]) -> ColumnStats:
     n = len(ids)
     if n == 0:
         raise EmptyColumnError("cannot compute stats of an empty column")
-    freqs = Counter(ids)
-    distinct = len(freqs)
-    max_freq = max(freqs.values())
+    values, lengths = run_lengths(ids)
+    # A value's frequency is the sum of its runs' lengths: sort the runs by
+    # value and add up the lengths of each value's runs.
+    order = np.argsort(values)
+    firsts = np.flatnonzero(run_starts(values[order].reshape(1, -1)))
+    distinct = len(firsts)
+    max_freq = int(np.add.reduceat(lengths[order], firsts).max())
     # Runs are maximal: sorted iff run values strictly increase, and
     # sequential iff every run is one row and every step is +1 (or every -1).
-    values, lengths = run_lengths(ids)
     steps = np.diff(values)
     is_sequential = n >= 2 and len(lengths) == n and (
         bool((steps == 1).all()) or bool((steps == -1).all())

@@ -23,7 +23,11 @@ W. One tag bit per block and the 64-bit indirect-block count are added.
 The paper's own indirect objective, the mean b-ary block entropy, is still
 reported: entropy is summed over full aligned blocks only (a trailing
 partial block contributes nothing) and divided by ceil(N/b) blocks, so a
-long partial tail deflates the mean. Its sweep sorts the full blocks alone.
+long partial tail deflates the mean. ``mean_block_entropy`` is its one
+body: it cuts the full blocks into a (blocks, b) array, sorts each row, and
+scores every row from its run lengths at once; ``block_entropy`` applies the
+same formula to one row, and ``entropy_sweep`` calls ``mean_block_entropy``
+per candidate.
 
 Ties break toward the smallest candidate in every sweep; an array where no
 block ever clusters yields (b=2, F=0).
@@ -32,7 +36,6 @@ block ever clusters yields (b=2, F=0).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -189,30 +192,36 @@ def optimal_cluster_block_size(
     return best_cluster(cluster_sweep(array, sqrt_bound=sqrt_bound, counter=counter))
 
 
-def block_entropy(block: Sequence[int], base: int) -> float:
-    """Empirical Shannon entropy of the block in the given log base.
+def _row_entropy_bits(rows: np.ndarray) -> np.ndarray:
+    """Each row's empirical Shannon entropy times its length, in bits.
 
-    log2 ratios keep the power-of-two fixtures exact: a constant block
-    scores 0.0 and a block of ``base`` distinct values scores 1.0.
+    A row of m IDs whose sorted runs have lengths c holds
+    m*log2 m - sum c*log2 c bits. log2 is exact on powers of two, so over
+    b = 2^k rows a constant block scores 0 and b distinct values b*k.
     """
+    m = rows.shape[1]
+    rows = np.sort(rows, axis=1)
+    starts = np.flatnonzero(run_starts(rows))
+    c = np.diff(starts, append=rows.size)
+    return m * math.log2(m) - np.bincount(starts // m, weights=c * np.log2(c), minlength=len(rows))
+
+
+def block_entropy(block: Sequence[int], base: int) -> float:
+    """Empirical Shannon entropy of the block in the given log base."""
     n = len(block)
     if n == 0:
         raise EmptyColumnError("cannot take the entropy of an empty block")
-    h = 0.0
-    for count in Counter(block).values():
-        p = count / n
-        h -= p * math.log2(p)
-    return h / math.log2(base)
+    bits = float(_row_entropy_bits(np.asarray(block, np.int64).reshape(1, n))[0])
+    return bits / (n * math.log2(base))
 
 
 def mean_block_entropy(array: ValueIdArray | Sequence[int], block_size: int) -> EntropyObjective:
     """Mean b-ary entropy: full blocks summed, ceil(N/b) in the denominator."""
     check_block_size(block_size)
-    ids = ids_of(array)
+    ids = np.asarray(ids_of(array), dtype=np.int64)
     n = len(ids)
-    total = 0.0
-    for start in range(0, n - block_size + 1, block_size):
-        total += block_entropy(ids[start : start + block_size], block_size)
+    bits = _row_entropy_bits(ids[: n - n % block_size].reshape(-1, block_size))
+    total = float((bits / (block_size * math.log2(block_size))).sum())
     blocks = -(-n // block_size)
     return EntropyObjective(b=block_size, mean_entropy=total / blocks if blocks else 0.0)
 
@@ -223,24 +232,14 @@ def entropy_sweep(
     sqrt_bound: bool = False,
     counter: VisitCounter | None = None,
 ) -> list[EntropyObjective]:
-    """Evaluate the mean block entropy for every candidate, ascending.
-
-    Each sorted row of b IDs scores (b*log2 b - sum c*log2 c) / (b*log2 b)
-    over its run lengths c, which is ``block_entropy`` of that block.
-    """
+    """``mean_block_entropy`` at every candidate block size, ascending."""
     ids = np.asarray(ids_of(array), dtype=np.int64)
     n = len(ids)
     objectives = []
     for b in candidate_block_sizes(n, sqrt_bound):
-        rows = np.sort(ids[: n - n % b].reshape(-1, b), axis=1)  # the full blocks
-        starts = np.flatnonzero(run_starts(rows))
-        c = np.diff(starts, append=rows.size)
-        scale = b * (b.bit_length() - 1)  # b * log2 b, exact for a power of two
-        per_row = scale - np.bincount(starts // b, weights=c * np.log2(c), minlength=len(rows))
-        total = float((per_row / scale).sum())
-        objectives.append(EntropyObjective(b=b, mean_entropy=total / -(-n // b)))
+        objectives.append(mean_block_entropy(ids, b))
         if counter:
-            counter.add(rows.size)  # rows inside scored blocks
+            counter.add(n - n % b)  # rows inside scored blocks
     return objectives
 
 

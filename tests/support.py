@@ -18,7 +18,6 @@ import numpy as np
 from colcodec import (
     InvariantViolationError,
     TruncatedPayloadError,
-    BitVector,
     EncodedColumn,
     IdInterval,
     IndirectEncoded,
@@ -62,6 +61,27 @@ def family_column(rng: np.random.Generator, family: str, n: int) -> list[int]:
     if family == "zipf":
         return [int(min(v, 256) - 1) for v in rng.zipf(1.2, n)]
     raise ValueError(family)
+
+
+def text_column(shape: str, seed: int, n: int) -> list[str]:
+    """n seeded text cells. ``clustered``: runs of 20-120 rows over 60 values,
+    after a one-row first run; ``local``: segments of 50-150 rows, each drawing
+    from its own 6 of 2,000 values; ``skewed``: Zipf draws over 200 values."""
+    rng = np.random.default_rng(seed)
+    ids: list[int] = []
+    if shape == "clustered":
+        ids.append(60)
+        while len(ids) < n:
+            ids += [int(rng.integers(60))] * int(rng.integers(20, 121))
+    elif shape == "local":
+        while len(ids) < n:
+            pool = rng.integers(0, 2000, 6)
+            ids += rng.choice(pool, int(rng.integers(50, 151))).tolist()
+    elif shape == "skewed":
+        ids = [min(int(v), 200) for v in rng.zipf(1.3, n)]
+    else:
+        raise ValueError(shape)
+    return [f"v{i:04d}" for i in ids[:n]]
 
 
 def is_sequential(ids: Sequence[int]) -> bool:
@@ -115,6 +135,27 @@ def mean_entropy_oracle(ids: Sequence[int], b: int) -> float:
     for start in range(0, len(ids) - b + 1, b):
         total += entropy_oracle(ids[start : start + b], b)
     return total / math.ceil(len(ids) / b)
+
+
+def stats_oracle(ids: Sequence[int]) -> dict:
+    """``compute_stats``'s fields, from a histogram and a walk of the rows."""
+    n = len(ids)
+    freqs = Counter(ids)
+    max_freq = max(freqs.values())
+    leading_run = 1
+    while leading_run < n and ids[leading_run] == ids[0]:
+        leading_run += 1
+    avg_repetition = n / len(freqs)
+    return {
+        "n": n,
+        "distinct": len(freqs),
+        "is_sorted": all(a <= b for a, b in zip(ids, ids[1:])),
+        "is_sequential": is_sequential(ids),
+        "leading_run": leading_run,
+        "max_freq": max_freq,
+        "sparsity": max_freq / avg_repetition,
+        "avg_repetition": avg_repetition,
+    }
 
 
 def scan_oracle(encoded: EncodedColumn, interval: IdInterval) -> list[int]:
@@ -192,7 +233,7 @@ def literal_scan_sparse(p, lo: int | None, hi: int | None) -> list[int]:
     dominant_hits = hit(p.dominant_id)
     residual = iter(_plain(p.residual))
     out = []
-    for pos, present in enumerate(_plain(p.positions.bits)):
+    for pos, present in enumerate(_plain(p.positions)):
         if present:
             if dominant_hits:
                 out.append(pos)
@@ -209,7 +250,7 @@ def literal_scan_cluster(p, lo: int | None, hi: int | None) -> list[int]:
     uncompressed = _plain(p.uncompressed)
     single_at = 0
     cursor = 0
-    for i, flag in enumerate(_plain(p.flags.bits)):
+    for i, flag in enumerate(_plain(p.flags)):
         start = i * b
         if flag:
             if hit(singles[single_at]):
@@ -232,7 +273,7 @@ def indirect_blocks(p):
     payload = _plain(p.payload)
     b = p.block_size
     at = 0
-    for i, tagged in enumerate(_plain(p.tags.bits)):
+    for i, tagged in enumerate(_plain(p.tags)):
         rows = payload[i * b : (i + 1) * b]
         if tagged:
             k = next(sizes)
@@ -288,7 +329,7 @@ def literal_encode_indirect(
             payload += block
     return IndirectEncoded(
         block_size=block_size,
-        tags=BitVector(np.array(tags, bool)),
+        tags=np.array(tags, bool),
         dict_sizes=np.array(sizes, np.int64),
         local_dicts=np.array(local_dicts, np.int64),
         payload=np.array(payload, np.int64),
@@ -316,7 +357,7 @@ def literal_decode_prefix(p) -> list[int]:
 
 def literal_decode_sparse(p) -> list[int]:
     residual = iter(_plain(p.residual))
-    return [p.dominant_id if present else next(residual) for present in _plain(p.positions.bits)]
+    return [p.dominant_id if present else next(residual) for present in _plain(p.positions)]
 
 
 def literal_decode_cluster(p) -> list[int]:
@@ -326,7 +367,7 @@ def literal_decode_cluster(p) -> list[int]:
     singles = iter(_plain(p.singles))
     uncompressed = _plain(p.uncompressed)
     cursor = 0  # position in the uncompressed stream
-    for i, flag in enumerate(_plain(p.flags.bits)):
+    for i, flag in enumerate(_plain(p.flags)):
         if flag:
             out.extend([next(singles)] * b)
         else:

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import colcodec.encodings
 import colcodec.optimizer
+import support
 from colcodec import SchemeKind, encode_array, encode_column, read_csv_column, write_encoded
 from colcodec.cli import main
 
@@ -416,3 +420,37 @@ def test_csv_parser_errors_fail_cleanly(capsys, tmp_path, data, line):
     assert code == 1
     assert err.startswith("error: CsvParseError: ")
     assert f"line {line}:" in err
+
+
+CLI_SNAPSHOTS = Path(__file__).with_name("data") / "cli_snapshots.json"
+SNAPSHOT_COMMANDS = (["analyze"], ["verify", "--seed", "7"])
+
+
+def snapshot_outputs(directory: Path) -> dict[str, list]:
+    """Exit code and stdout of each snapshot command on each ``support.text_column``
+    shape (seed 11, 3,000 rows), with the CSVs written to ``directory``."""
+    outputs = {}
+    for shape in ("clustered", "local", "skewed"):
+        csv_path = write_csv(directory, support.text_column(shape, 11, 3000), f"{shape}.csv")
+        for command, *flags in SNAPSHOT_COMMANDS:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main([command, csv_path, *flags])
+            outputs[f"{command} {shape}"] = [code, stdout.getvalue()]
+    return outputs
+
+
+def record_cli_snapshots() -> None:
+    """Write the fixture: ``python tests/test_cli.py`` with the package to record on the path."""
+    with tempfile.TemporaryDirectory() as directory:
+        outputs = snapshot_outputs(Path(directory))
+    CLI_SNAPSHOTS.parent.mkdir(exist_ok=True)
+    CLI_SNAPSHOTS.write_text(json.dumps(outputs, indent=1) + "\n")
+
+
+def test_cli_stdout_matches_the_recorded_snapshots(tmp_path):
+    assert snapshot_outputs(tmp_path) == json.loads(CLI_SNAPSHOTS.read_text())
+
+
+if __name__ == "__main__":
+    record_cli_snapshots()

@@ -86,10 +86,14 @@ def test_dictionary_is_permutation_stable():
 
 def test_decode_rejects_bad_ids():
     d, _ = encode_column(["a", "b"])
-    with pytest.raises(IdOutOfRangeError):
-        decode_column(d, ValueIdArray(ids=[0, 5], id_width_bits=1))
-    with pytest.raises(IdOutOfRangeError):
-        decode_column(d, ValueIdArray(ids=[-1], id_width_bits=1))
+    for ids, message in [  # the first bad row is named
+        ([0, 5], "id 5 at row 1 outside dictionary of 2 values"),
+        ([-1], "id -1 at row 0 outside dictionary of 2 values"),
+        ([1, 0, 2, -1, 7], "id 2 at row 2 outside dictionary of 2 values"),
+    ]:
+        with pytest.raises(IdOutOfRangeError) as info:
+            decode_column(d, ValueIdArray(ids=ids, id_width_bits=1))
+        assert str(info.value) == message
 
 
 # predicates

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,11 @@ def test_single_row_is_neither_sequential_nor_compressible():
     assert stats.is_sorted
     assert not stats.is_sequential
     assert decision_for([5]).scheme is SchemeKind.RAW
+
+
+def test_stats_match_the_histogram_oracle(search_corpus, wide_corpus):
+    for ids in search_corpus + wide_corpus:
+        assert dataclasses.asdict(compute_stats(ids)) == support.stats_oracle(ids)
 
 
 def test_stats_reject_empty_column():

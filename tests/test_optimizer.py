@@ -281,9 +281,9 @@ def test_entropy_sweep_matches_the_literal_block_walk():
             candidates = candidate_block_sizes(len(ids), sqrt_bound)
             assert [o.b for o in sweep] == candidates
             for objective in sweep:
-                literal = mean_block_entropy(ids, objective.b).mean_entropy
+                literal = support.mean_entropy_oracle(ids, objective.b)
                 assert abs(objective.mean_entropy - literal) <= 1e-12
-            # the literal sweep counted the rows inside scored blocks
+            # the sweep counted the rows inside scored blocks
             assert counter.visits == sum((len(ids) // b) * b for b in candidates)
 
 
