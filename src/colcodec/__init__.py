@@ -25,6 +25,7 @@ from .encodings import (
     EncodedColumn,
     IndirectEncoded,
     PrefixEncoded,
+    RawEncoded,
     RleEncoded,
     SchemeKind,
     SparseEncoded,

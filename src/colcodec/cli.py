@@ -206,6 +206,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compress(args) -> int:
+    if args.block_size is not None:  # whichever scheme ends up chosen
+        encodings.check_block_size(args.block_size)
     values = _load_column(args)
     params = _params(args)
     dictionary, array = encode_column(values)
@@ -222,11 +224,7 @@ def cmd_compress(args) -> int:
         block_size = None
 
     if CODECS[kind].blocked:
-        if args.block_size is not None:
-            encodings.check_block_size(args.block_size)
-            block_size = args.block_size
-        elif block_size is None:
-            block_size = _optimal_block_size(kind, array, args.sqrt_bound)
+        block_size = args.block_size or block_size or _optimal_block_size(kind, array, args.sqrt_bound)
 
     encoded = encodings.encode_array(array, kind, block_size)
     with open(args.out, "wb") as f:
@@ -246,7 +244,7 @@ def cmd_compress(args) -> int:
 def cmd_decompress(args) -> int:
     with open(args.file, "rb") as f:
         dictionary, encoded = fileio.read_encoded(f)
-    ids = encodings.decode_array(encoded)
+    ids = encoded.codec.decode(encoded.payload)
     values = decode_column(dictionary, ValueIdArray(ids=ids, id_width_bits=encoded.id_width_bits))
     del encoded, ids  # writing needs only the values: let the payload go first
     # Cells are re-quoted minimally, so byte-level quoting may differ from the

@@ -56,9 +56,9 @@ class Dictionary:
 
 @dataclass(frozen=True)
 class ValueIdArray:
-    """Column body as value IDs, tagged with the dictionary's ID width."""
+    """Column body as value IDs (a list or an int array), tagged with the dictionary's ID width."""
 
-    ids: list[int]
+    ids: list[int] | np.ndarray
     id_width_bits: int
 
     def __len__(self) -> int:
@@ -136,11 +136,12 @@ def encode_column(values: Sequence[str]) -> tuple[Dictionary, ValueIdArray]:
 def decode_column(dictionary: Dictionary, array: ValueIdArray) -> list[str]:
     """Materialize the original rows. Inverse of encode_column."""
     n = len(dictionary.values)
-    ids = array.ids
-    if len(ids) and (min(ids) < 0 or max(ids) >= n):
-        row = next(row for row, value_id in enumerate(ids) if not 0 <= value_id < n)
-        raise IdOutOfRangeError(f"id {ids[row]} at row {row} outside dictionary of {n} values")
-    return list(map(dictionary.values.__getitem__, ids))
+    ids = np.asarray(array.ids)
+    bad = (ids < 0) | (ids >= n)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise IdOutOfRangeError(f"id {array.ids[row]} at row {row} outside dictionary of {n} values")
+    return np.array(dictionary.values, dtype=object)[ids].tolist() if len(ids) else []
 
 
 def predicate_to_id_range(

@@ -22,11 +22,11 @@ width, indirect local IDs cost their local width, counts and lengths cost 64
 bits, bit vectors cost one bit per entry. ``encoded_size_breakdown`` tallies
 them by the field names ``pack`` writes; ``encoded_size_bits`` is their sum.
 
-Prefix, RLE, sparse, cluster and indirect payloads hold their per-row,
-per-run and per-block sequences as numpy arrays (bit vectors as bool
-arrays), and payloads compare by value, so an encoder's int64 arrays equal
-the narrower unsigned arrays a file is read into. Encoders and decoders work
-whole-array; ``decode_array`` returns a list of ints.
+Every payload but affine holds its per-row, per-run and per-block sequences
+as numpy arrays (bit vectors as bool arrays), and payloads compare by value,
+so an encoder's int64 arrays equal the narrower unsigned arrays a file is read
+into. Encoders take any ID sequence; codecs decode and scan to int arrays, and
+only ``decode_array`` and ``scan_id_range`` turn them into lists.
 
 ``scan_id_range`` finds the row positions whose ID falls in an interval
 without decoding the column: raw, sparse and cluster build one boolean row
@@ -81,6 +81,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SchemeKind",
+    "RawEncoded",
     "PrefixEncoded",
     "RleEncoded",
     "SparseEncoded",
@@ -153,6 +154,11 @@ class _ByValue:
 
 
 @dataclass(frozen=True, eq=False)
+class RawEncoded(_ByValue):
+    ids: np.ndarray  # one ID per row
+
+
+@dataclass(frozen=True, eq=False)
 class PrefixEncoded(_ByValue):
     prefix_id: int
     prefix_count: int
@@ -199,13 +205,7 @@ class AffineEncoded:
 
 
 Payload = Union[
-    ValueIdArray,
-    PrefixEncoded,
-    RleEncoded,
-    SparseEncoded,
-    ClusterEncoded,
-    IndirectEncoded,
-    AffineEncoded,
+    RawEncoded, PrefixEncoded, RleEncoded, SparseEncoded, ClusterEncoded, IndirectEncoded, AffineEncoded
 ]
 
 
@@ -239,10 +239,6 @@ def _hits(ids: np.ndarray, lo: int | None, hi: int | None) -> np.ndarray:
     if hi is not None:
         mask &= ids <= hi
     return mask
-
-
-def _rows(mask: np.ndarray) -> list[int]:
-    return np.flatnonzero(mask).tolist()
 
 
 def _positions(n: int) -> type:
@@ -290,21 +286,21 @@ def _read_counts(br: _BitReader, count: int, what: str, zero: str) -> list[int]:
     return counts
 
 
-def _encode_raw(ids: Sequence[int], block_size: Any, width: int) -> ValueIdArray:
+def _encode_raw(ids: Sequence[int], block_size: Any, width: int) -> RawEncoded:
     _require_rows(ids)
-    return ValueIdArray(ids=ids, id_width_bits=width)
+    return RawEncoded(ids=np.array(ids, np.int64))
 
 
-def _scan_raw(p: ValueIdArray, lo: int | None, hi: int | None) -> list[int]:
-    return _rows(_hits(np.asarray(p.ids, np.int64), lo, hi))
+def _scan_raw(p: RawEncoded, lo: int | None, hi: int | None) -> np.ndarray:
+    return np.flatnonzero(_hits(p.ids, lo, hi))
 
 
-def _pack_raw(p: ValueIdArray, w: int, out: FieldSink) -> None:
+def _pack_raw(p: RawEncoded, w: int, out: FieldSink) -> None:
     out.bits("ids", p.ids, w)
 
 
-def _unpack_raw(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> ValueIdArray:
-    return ValueIdArray(ids=_read_ids(br, n, w, dict_count, "id").tolist(), id_width_bits=w)
+def _unpack_raw(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> RawEncoded:
+    return RawEncoded(ids=_read_ids(br, n, w, dict_count, "id"))
 
 
 def encode_prefix(ids: Sequence[int]) -> PrefixEncoded:
@@ -316,17 +312,18 @@ def encode_prefix(ids: Sequence[int]) -> PrefixEncoded:
     return PrefixEncoded(prefix_id=int(ids[0]), prefix_count=count, rest=ids[count:])
 
 
-def decode_prefix(encoded: PrefixEncoded) -> list[int]:
-    return [encoded.prefix_id] * encoded.prefix_count + encoded.rest.tolist()
+def decode_prefix(encoded: PrefixEncoded) -> np.ndarray:
+    head = np.full(encoded.prefix_count, encoded.prefix_id, encoded.rest.dtype)
+    return np.concatenate((head, encoded.rest))
 
 
-def _scan_prefix(p: PrefixEncoded, lo: int | None, hi: int | None) -> list[int]:
+def _scan_prefix(p: PrefixEncoded, lo: int | None, hi: int | None) -> np.ndarray:
     positions = _positions(p.prefix_count + len(p.rest))
     rows = np.flatnonzero(_hits(p.rest, lo, hi)).astype(positions, copy=False)
     rows += p.prefix_count
     if _hits(np.asarray(p.prefix_id), lo, hi):
         rows = np.concatenate((np.arange(p.prefix_count, dtype=positions), rows))
-    return rows.tolist()
+    return rows
 
 
 def _pack_prefix(p: PrefixEncoded, w: int, out: FieldSink) -> None:
@@ -353,18 +350,18 @@ def encode_rle(ids: Sequence[int]) -> RleEncoded:
     return RleEncoded(*run_lengths(ids))
 
 
-def decode_rle(encoded: RleEncoded) -> list[int]:
-    return np.repeat(encoded.values, encoded.lengths).tolist()
+def decode_rle(encoded: RleEncoded) -> np.ndarray:
+    return np.repeat(encoded.values, encoded.lengths)
 
 
-def _scan_rle(p: RleEncoded, lo: int | None, hi: int | None) -> list[int]:
+def _scan_rle(p: RleEncoded, lo: int | None, hi: int | None) -> np.ndarray:
     hit = _hits(p.values, lo, hi)
     starts, lengths = (np.cumsum(p.lengths) - p.lengths)[hit], p.lengths[hit]
     # Only the matching runs' rows are built: memory follows the rows returned.
     rows = np.arange(int(lengths.sum()), dtype=lengths.dtype)
     # The rows were allocated, so every length is below 2**63 and fits an intp.
     rows += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths.astype(np.intp))
-    return rows.tolist()
+    return rows
 
 
 def _pack_rle(p: RleEncoded, w: int, out: FieldSink) -> None:
@@ -407,17 +404,17 @@ def encode_sparse(ids: Sequence[int]) -> SparseEncoded:
     return SparseEncoded(dominant_id=dominant, positions=present, residual=ids[~present])
 
 
-def decode_sparse(encoded: SparseEncoded) -> list[int]:
+def decode_sparse(encoded: SparseEncoded) -> np.ndarray:
     present = encoded.positions
-    out = np.full(len(present), encoded.dominant_id, np.int64)
+    out = np.full(len(present), encoded.dominant_id, encoded.residual.dtype)
     out[~present] = encoded.residual
-    return out.tolist()
+    return out
 
 
-def _scan_sparse(p: SparseEncoded, lo: int | None, hi: int | None) -> list[int]:
+def _scan_sparse(p: SparseEncoded, lo: int | None, hi: int | None) -> np.ndarray:
     mask = np.full(len(p.positions), _hits(np.asarray(p.dominant_id), lo, hi))
     mask[~p.positions] = _hits(p.residual, lo, hi)
-    return _rows(mask)
+    return np.flatnonzero(mask)
 
 
 def _pack_sparse(p: SparseEncoded, w: int, out: FieldSink) -> None:
@@ -469,20 +466,20 @@ def _flagged_rows(flags: np.ndarray, b: int, n: int) -> np.ndarray:
     return rows
 
 
-def decode_cluster(encoded: ClusterEncoded) -> list[int]:
+def decode_cluster(encoded: ClusterEncoded) -> np.ndarray:
     flagged = _flagged_rows(encoded.flags, encoded.block_size, encoded.length)
-    out = np.empty(encoded.length, np.int64)
+    out = np.empty(encoded.length, encoded.uncompressed.dtype)
     out[flagged] = np.repeat(encoded.singles, encoded.block_size)
     out[~flagged] = encoded.uncompressed
-    return out.tolist()
+    return out
 
 
-def _scan_cluster(p: ClusterEncoded, lo: int | None, hi: int | None) -> list[int]:
+def _scan_cluster(p: ClusterEncoded, lo: int | None, hi: int | None) -> np.ndarray:
     flagged = _flagged_rows(p.flags, p.block_size, p.length)
     mask = np.empty(p.length, bool)
     mask[flagged] = np.repeat(_hits(p.singles, lo, hi), p.block_size)
     mask[~flagged] = _hits(p.uncompressed, lo, hi)
-    return _rows(mask)
+    return np.flatnonzero(mask)
 
 
 def _pack_cluster(p: ClusterEncoded, w: int, out: FieldSink) -> None:
@@ -581,18 +578,18 @@ def _dict_starts(p: IndirectEncoded) -> tuple[np.ndarray, np.ndarray]:
     return tags[block], starts[block]
 
 
-def decode_indirect(encoded: IndirectEncoded) -> list[int]:
+def decode_indirect(encoded: IndirectEncoded) -> np.ndarray:
     tagged, starts = _dict_starts(encoded)
-    out = encoded.payload.astype(np.int64)
+    out = encoded.payload.copy()
     out[tagged] = encoded.local_dicts[starts[tagged] + out[tagged]]
-    return out.tolist()
+    return out
 
 
-def _scan_indirect(p: IndirectEncoded, lo: int | None, hi: int | None) -> list[int]:
+def _scan_indirect(p: IndirectEncoded, lo: int | None, hi: int | None) -> np.ndarray:
     tagged, starts = _dict_starts(p)
     mask = _hits(p.payload, lo, hi)
     mask[tagged] = _hits(p.local_dicts, lo, hi)[starts[tagged] + p.payload[tagged]]
-    return _rows(mask)
+    return np.flatnonzero(mask)
 
 
 def _pack_indirect(p: IndirectEncoded, w: int, out: FieldSink) -> None:
@@ -707,12 +704,11 @@ def encode_affine(ids: Sequence[int]) -> AffineEncoded:
     return AffineEncoded(start_id=int(ids[0]), step=step, length=n)
 
 
-def decode_affine(encoded: AffineEncoded) -> list[int]:
-    start, step = encoded.start_id, encoded.step
-    return list(range(start, start + step * encoded.length, step))
+def decode_affine(encoded: AffineEncoded) -> np.ndarray:
+    return encoded.start_id + encoded.step * np.arange(encoded.length)
 
 
-def _scan_affine(p: AffineEncoded, lo: int | None, hi: int | None) -> list[int]:
+def _scan_affine(p: AffineEncoded, lo: int | None, hi: int | None) -> np.ndarray:
     n = p.length
     s = p.start_id
     if p.step == 1:  # id at row i is s + i
@@ -721,9 +717,8 @@ def _scan_affine(p: AffineEncoded, lo: int | None, hi: int | None) -> list[int]:
     else:  # id at row i is s - i
         row_lo = 0 if hi is None else max(0, s - hi)
         row_hi = n - 1 if lo is None else min(n - 1, s - lo)
-    if row_lo > row_hi:
-        return []
-    return list(range(row_lo, row_hi + 1))
+    # np.arange(row_lo, row_hi + 1) raises for bounds past int64 even when empty.
+    return np.arange(row_lo, row_hi + 1) if row_lo <= row_hi else np.arange(0)
 
 
 def _pack_affine(p: AffineEncoded, w: int, out: FieldSink) -> None:
@@ -751,14 +746,16 @@ def _unpack_affine(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> A
 class Codec:
     """Everything one scheme knows about its layout.
 
-    ``encode`` takes (ids, block size, ID width); ``scan`` takes closed ID
-    bounds, None meaning unbounded. ``pack`` takes the payload, the ID width
-    and a field sink, and names every field it writes, even an empty one:
-    ``u64s(name, values)`` for the counts region, ``bits(name, values,
-    width)`` for the packed region. It hands the sink its arrays as stored,
-    not converted to lists. The breakdown's keys are these names.
-    ``unpack`` reads both regions back from a bit reader positioned at the
-    counts, given (rows, block size, dictionary size, ID width).
+    ``encode`` takes (ids, block size, ID width). ``decode`` returns the IDs
+    in the dtype the payload holds them in, and ``scan``, given closed ID
+    bounds (None unbounded), the ascending row positions as an int array.
+    ``pack`` takes the payload, the ID width and a field sink, and names
+    every field it writes, even an empty one: ``u64s(name, values)`` for
+    the counts region, ``bits(name, values, width)`` for the packed region.
+    It hands the sink its arrays as stored, not converted to lists. The
+    breakdown's keys are these names. ``unpack`` reads both regions back
+    from a bit reader positioned at the counts, given (rows, block size,
+    dictionary size, ID width).
     """
 
     kind: SchemeKind
@@ -766,8 +763,8 @@ class Codec:
     blocked: bool  # takes a block size, stored in the file header
     payload_type: type
     encode: Callable[[Sequence[int], Any, int], Any]
-    decode: Callable[[Any], list[int]]
-    scan: Callable[[Any, int | None, int | None], list[int]]
+    decode: Callable[[Any], np.ndarray]
+    scan: Callable[[Any, int | None, int | None], np.ndarray]
     pack: Callable[[Any, int, FieldSink], None]
     unpack: Callable[[_BitReader, int, int, int, int], Any]
 
@@ -775,8 +772,8 @@ class Codec:
 CODECS: dict[SchemeKind, Codec] = {
     codec.kind: codec
     for codec in (
-        Codec(SchemeKind.RAW, 0, False, ValueIdArray,
-              _encode_raw, lambda p: list(p.ids),
+        Codec(SchemeKind.RAW, 0, False, RawEncoded,
+              _encode_raw, lambda p: p.ids,
               _scan_raw, _pack_raw, _unpack_raw),
         Codec(SchemeKind.PREFIX, 1, False, PrefixEncoded,
               lambda ids, b, w: encode_prefix(ids), decode_prefix,
@@ -815,8 +812,8 @@ def encode_array(
 
 
 def decode_array(encoded: EncodedColumn) -> list[int]:
-    """Recover the value-ID sequence. Inverse of encode_array."""
-    return encoded.codec.decode(encoded.payload)
+    """Recover the value-ID sequence as a list. Inverse of encode_array."""
+    return encoded.codec.decode(encoded.payload).tolist()
 
 
 class _SizeTally(dict):
@@ -851,4 +848,4 @@ def scan_id_range(encoded: EncodedColumn, interval: IdInterval) -> list[int]:
     norm = interval.normalize()
     if norm is None:
         return []
-    return encoded.codec.scan(encoded.payload, *norm)
+    return encoded.codec.scan(encoded.payload, *norm).tolist()

@@ -5,8 +5,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -159,7 +161,7 @@ def test_compress_explicit_block_size_wins(capsys, tmp_path):
 def test_compress_rejects_bad_block_size(capsys, tmp_path):
     csv = write_csv(tmp_path, SORTED_VALUES)
     out_file = tmp_path / "col.bcc1"
-    for scheme in ("cluster", "indirect"):
+    for scheme in ("cluster", "indirect", "rle", "auto"):  # rle is auto's choice here
         for block_size in ("3", "4294967296"):  # 2**32 overflows the u32 header field
             code, _, err = run(
                 capsys,
@@ -322,7 +324,7 @@ def test_verify_scans_the_column_it_read_back(capsys, tmp_path, monkeypatch):
     codec = colcodec.encodings.CODECS[SchemeKind.SPARSE]
 
     def scan(p, lo, hi):
-        return [] if p.residual.dtype.kind == "u" else codec.scan(p, lo, hi)
+        return np.empty(0, np.int64) if p.residual.dtype.kind == "u" else codec.scan(p, lo, hi)
 
     monkeypatch.setitem(
         colcodec.encodings._CODEC_OF_PAYLOAD, codec.payload_type, dataclasses.replace(codec, scan=scan)
@@ -428,15 +430,34 @@ SNAPSHOT_COMMANDS = (["analyze"], ["verify", "--seed", "7"])
 
 def snapshot_outputs(directory: Path) -> dict[str, list]:
     """Exit code and stdout of each snapshot command on each ``support.text_column``
-    shape (seed 11, 3,000 rows), with the CSVs written to ``directory``."""
+    shape (seed 11, 3,000 rows), with the CSVs written to ``directory``. Each
+    shape is also compressed, auto and raw, and decompressed again; those
+    entries strip ``directory`` from stdout and add the sha256 of the files."""
+
+    def run_main(argv: list[str]) -> list:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        return [code, stdout.getvalue().replace(f"{directory}{os.sep}", "")]
+
+    def sha256(path: Path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
     outputs = {}
     for shape in ("clustered", "local", "skewed"):
         csv_path = write_csv(directory, support.text_column(shape, 11, 3000), f"{shape}.csv")
         for command, *flags in SNAPSHOT_COMMANDS:
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = main([command, csv_path, *flags])
-            outputs[f"{command} {shape}"] = [code, stdout.getvalue()]
+            outputs[f"{command} {shape}"] = run_main([command, csv_path, *flags])
+        for scheme in ("auto", "none"):
+            column, decoded = directory / f"{shape}.{scheme}.bcc1", directory / f"{shape}.{scheme}.csv"
+            outputs[f"compress {scheme} {shape}"] = run_main(
+                ["compress", csv_path, "--out", str(column), "--scheme", scheme]
+            )
+            outputs[f"decompress {scheme} {shape}"] = [
+                *run_main(["decompress", str(column), "--out", str(decoded)]),
+                sha256(column),
+                sha256(decoded),
+            ]
     return outputs
 
 

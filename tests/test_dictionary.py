@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from colcodec import (
@@ -90,10 +91,18 @@ def test_decode_rejects_bad_ids():
         ([0, 5], "id 5 at row 1 outside dictionary of 2 values"),
         ([-1], "id -1 at row 0 outside dictionary of 2 values"),
         ([1, 0, 2, -1, 7], "id 2 at row 2 outside dictionary of 2 values"),
+        ([1, 0, -3, 2], "id -3 at row 2 outside dictionary of 2 values"),
     ]:
-        with pytest.raises(IdOutOfRangeError) as info:
-            decode_column(d, ValueIdArray(ids=ids, id_width_bits=1))
-        assert str(info.value) == message
+        # as a list, and as the int arrays a codec decodes to
+        for form in (ids, np.array(ids), np.array(ids, np.int8)):
+            with pytest.raises(IdOutOfRangeError) as info:
+                decode_column(d, ValueIdArray(ids=form, id_width_bits=1))
+            assert str(info.value) == message
+    for form in (np.array([0, 1, 1], np.uint8), np.array([1, 0], np.int64)):
+        assert decode_column(d, ValueIdArray(ids=form, id_width_bits=1)) == ["ab"[i] for i in form]
+    bad = np.array([1, 0, 1, 2, 9], np.uint16)  # unsigned: only IDs >= n are out of range
+    with pytest.raises(IdOutOfRangeError, match="^id 2 at row 3 outside dictionary of 2 values$"):
+        decode_column(d, ValueIdArray(ids=bad, id_width_bits=1))
 
 
 # predicates
