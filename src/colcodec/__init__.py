@@ -9,7 +9,6 @@ and serializes everything to a compact binary column file.
 from .dictionary import (
     Dictionary,
     IdInterval,
-    RunLengthView,
     ValueIdArray,
     build_dictionary,
     decode_column,

@@ -22,8 +22,10 @@ import random
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import encodings, fileio, heuristics, optimizer
-from .dictionary import IdInterval, ValueIdArray, decode_column, encode_column
+from .dictionary import Dictionary, IdInterval, ValueIdArray, decode_column, encode_column
 from .encodings import CODECS, SchemeKind
 from .errors import ColcodecError
 from .heuristics import HeuristicParams
@@ -114,9 +116,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_column(args) -> list[str]:
+def _load_column(args) -> tuple[Dictionary, ValueIdArray]:
+    """The CSV column, dictionary-encoded once; its IDs are one int64 array,
+    which every layer below takes as it is."""
     with open(args.csv, "rb") as f:
-        return fileio.read_csv_column(f, args.column, args.header)
+        values = fileio.read_csv_column(f, args.column, args.header)
+    dictionary, array = encode_column(values)
+    del values  # the cells are done with: free them before the array is made
+    ids = np.asarray(array.ids, np.int64)
+    return dictionary, ValueIdArray(ids=ids, id_width_bits=array.id_width_bits)
 
 
 def _params(args) -> HeuristicParams:
@@ -133,8 +141,7 @@ def _optimal_block_size(kind: SchemeKind, array: ValueIdArray, sqrt_bound: bool)
     return optimizer.best_indirect(sweep).b
 
 
-def _analyze_report(values: list[str], params: HeuristicParams, sqrt_bound: bool) -> dict:
-    dictionary, array = encode_column(values)
+def _analyze_report(array: ValueIdArray, params: HeuristicParams, sqrt_bound: bool) -> dict:
     stats = heuristics.compute_stats(array.ids)
 
     if stats.n >= 2:
@@ -150,7 +157,9 @@ def _analyze_report(values: list[str], params: HeuristicParams, sqrt_bound: bool
     else:
         cluster_trace = entropy_trace = size_trace = []
         best_cluster = best_entropy = best_indirect = sweeps = None
-    decision = heuristics.decide_scheme(stats, array, params, sqrt_bound=sqrt_bound, sweeps=sweeps)
+    decision = heuristics.decide_scheme(
+        stats, array.ids, params, sqrt_bound=sqrt_bound, sweeps=sweeps
+    )
 
     def size_of(kind: SchemeKind, block_size: int | None = None) -> int:
         return encodings.encoded_size_bits(encodings.encode_array(array, kind, block_size))
@@ -200,7 +209,8 @@ def _analyze_report(values: list[str], params: HeuristicParams, sqrt_bound: bool
 
 
 def cmd_analyze(args) -> int:
-    report = _analyze_report(_load_column(args), _params(args), args.sqrt_bound)
+    _, array = _load_column(args)
+    report = _analyze_report(array, _params(args), args.sqrt_bound)
     print(json.dumps(report, indent=2))
     return 0
 
@@ -208,14 +218,15 @@ def cmd_analyze(args) -> int:
 def cmd_compress(args) -> int:
     if args.block_size is not None:  # whichever scheme ends up chosen
         encodings.check_block_size(args.block_size)
-    values = _load_column(args)
+    dictionary, array = _load_column(args)
     params = _params(args)
-    dictionary, array = encode_column(values)
     n = len(array.ids)
 
     if args.scheme == "auto":
         stats = heuristics.compute_stats(array.ids)
-        decision = heuristics.decide_scheme(stats, array, params, sqrt_bound=args.sqrt_bound)
+        decision = heuristics.decide_scheme(
+            stats, array.ids, params, sqrt_bound=args.sqrt_bound
+        )
         kind = decision.scheme
         block_size = decision.block_size
         print(f"params: x={params.x} y={params.y} z={params.z}")
@@ -278,11 +289,17 @@ def _random_interval(rng: random.Random, max_id: int) -> IdInterval:
 
 
 def _verification_checks(
-    values: list[str], params: HeuristicParams, seed: int, sqrt_bound: bool
+    dictionary: Dictionary,
+    array: ValueIdArray,
+    params: HeuristicParams,
+    seed: int,
+    sqrt_bound: bool,
 ) -> list[tuple[str, bool]]:
     rng = random.Random(seed)
-    dictionary, array = encode_column(values)
     ids = array.ids
+    # The oracles are literal per-row walks; they walk a list, which is faster
+    # to iterate than the array's numpy scalars.
+    id_list = ids.tolist()
     n = len(ids)
     stats = heuristics.compute_stats(ids)
     checks: list[tuple[str, bool]] = []
@@ -306,7 +323,7 @@ def _verification_checks(
     for kind, block_size in plans:
         encoded = encodings.encode_array(array, kind, block_size)
         checks.append(
-            (f"round-trip {kind.value}", encodings.decode_array(encoded) == list(ids))
+            (f"round-trip {kind.value}", encodings.decode_array(encoded) == id_list)
         )
 
         buf = io.BytesIO()
@@ -332,7 +349,7 @@ def _verification_checks(
         for _ in range(8):
             interval = _random_interval(rng, len(dictionary.values) - 1)
             lo, hi = interval.normalize() or (1, 0)  # empty: no ID is >= 1 and <= 0
-            want = [i for i, v in enumerate(ids) if (lo is None or lo <= v) and (hi is None or v <= hi)]
+            want = [i for i, v in enumerate(id_list) if (lo is None or lo <= v) and (hi is None or v <= hi)]
             for column in (encoded, read_encoded):  # as encoded, and as a file holds it
                 scans_ok = scans_ok and encodings.scan_id_range(column, interval) == want
         checks.append((f"scan equivalence {kind.value}", scans_ok))
@@ -340,7 +357,7 @@ def _verification_checks(
     if n >= 2:
         oracle_f: dict[int, int] = {}
         for objective in sweep:
-            oracle_s = optimizer.clustered_block_count_oracle(ids, objective.b)
+            oracle_s = optimizer.clustered_block_count_oracle(id_list, objective.b)
             checks.append((f"clustered blocks b={objective.b}", objective.s == oracle_s))
             oracle_f[objective.b] = oracle_s * (objective.b - 1)
         best = optimizer.best_cluster(sweep)
@@ -352,7 +369,7 @@ def _verification_checks(
             )
         )
 
-        oracle_h = {o.b: optimizer.mean_block_entropy_oracle(ids, o.b) for o in entropy}
+        oracle_h = {o.b: optimizer.mean_block_entropy_oracle(id_list, o.b) for o in entropy}
         for objective in entropy:
             checks.append(
                 (
@@ -386,7 +403,8 @@ def _verification_checks(
 
 
 def cmd_verify(args) -> int:
-    checks = _verification_checks(_load_column(args), _params(args), args.seed, args.sqrt_bound)
+    dictionary, array = _load_column(args)
+    checks = _verification_checks(dictionary, array, _params(args), args.seed, args.sqrt_bound)
     failures = 0
     for name, passed in checks:
         print(f"{'ok' if passed else 'FAIL':4} {name}")

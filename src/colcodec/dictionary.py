@@ -22,10 +22,8 @@ from .errors import EmptyColumnError, IdOutOfRangeError
 __all__ = [
     "Dictionary",
     "ValueIdArray",
-    "RunLengthView",
     "IdInterval",
     "id_width_bits",
-    "ids_of",
     "build_dictionary",
     "encode_column",
     "decode_column",
@@ -66,16 +64,6 @@ class ValueIdArray:
 
 
 @dataclass(frozen=True)
-class RunLengthView:
-    """Maximal ``(value_id, count)`` runs of a value-ID array, in order."""
-
-    runs: list[tuple[int, int]]
-
-    def __len__(self) -> int:
-        return len(self.runs)
-
-
-@dataclass(frozen=True)
 class IdInterval:
     """Integer interval of value IDs.
 
@@ -106,11 +94,6 @@ class IdInterval:
             return False
         lo, hi = norm
         return (lo is None or value_id >= lo) and (hi is None or value_id <= hi)
-
-
-def ids_of(array: ValueIdArray | Sequence[int]) -> Sequence[int]:
-    """The IDs of a ValueIdArray, or the sequence itself."""
-    return getattr(array, "ids", array)
 
 
 def build_dictionary(values: Sequence[str]) -> Dictionary:
@@ -191,8 +174,8 @@ def predicate_to_id_range(
 def run_lengths(ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The maximal runs' values and lengths, as two int64 arrays.
 
-    Every run-based path derives its runs here: ``to_runs``, and through it
-    RLE encoding, and the cluster optimizer, which needs only the lengths.
+    Every run-based path derives its runs here: RLE encoding, the column
+    stats, and the cluster optimizer, which needs only the lengths.
     """
     arr = np.asarray(ids, dtype=np.int64)
     if arr.size == 0:
@@ -201,11 +184,11 @@ def run_lengths(ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     return arr[starts], np.diff(np.append(starts, arr.size))
 
 
-def to_runs(array: ValueIdArray | Sequence[int]) -> RunLengthView:
-    """Collapse consecutive equal IDs into (id, count) runs.
+def to_runs(array: ValueIdArray | Sequence[int]) -> list[tuple[int, int]]:
+    """Collapse consecutive equal IDs into maximal (id, count) runs, in order.
 
-    Empty input yields an empty run list. Accepts a ValueIdArray or any
+    Empty input yields an empty list. Accepts a ValueIdArray or any
     sequence of IDs.
     """
-    values, counts = run_lengths(ids_of(array))
-    return RunLengthView(runs=list(zip(values.tolist(), counts.tolist())))
+    values, counts = run_lengths(getattr(array, "ids", array))
+    return list(zip(values.tolist(), counts.tolist()))

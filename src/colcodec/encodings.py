@@ -704,8 +704,21 @@ def encode_affine(ids: Sequence[int]) -> AffineEncoded:
     return AffineEncoded(start_id=int(ids[0]), step=step, length=n)
 
 
+def _row_range(start: int, stop: int) -> np.ndarray:
+    """The rows start through stop - 1 as an int array.
+
+    np.arange rounds the length through a double, so it returns an empty
+    array for lengths within 512 of 2**63. Lengths from 2**62 on raise
+    ValueError here, as numpy itself does for shorter ones it cannot hold.
+    """
+    if stop - start >= 1 << 62:
+        raise ValueError(f"cannot list {stop - start} rows")
+    # np.arange(start, stop) raises for bounds past int64 even when empty.
+    return np.arange(start, stop) if start < stop else np.arange(0)
+
+
 def decode_affine(encoded: AffineEncoded) -> np.ndarray:
-    return encoded.start_id + encoded.step * np.arange(encoded.length)
+    return encoded.start_id + encoded.step * _row_range(0, encoded.length)
 
 
 def _scan_affine(p: AffineEncoded, lo: int | None, hi: int | None) -> np.ndarray:
@@ -717,8 +730,7 @@ def _scan_affine(p: AffineEncoded, lo: int | None, hi: int | None) -> np.ndarray
     else:  # id at row i is s - i
         row_lo = 0 if hi is None else max(0, s - hi)
         row_hi = n - 1 if lo is None else min(n - 1, s - lo)
-    # np.arange(row_lo, row_hi + 1) raises for bounds past int64 even when empty.
-    return np.arange(row_lo, row_hi + 1) if row_lo <= row_hi else np.arange(0)
+    return _row_range(row_lo, row_hi + 1)
 
 
 def _pack_affine(p: AffineEncoded, w: int, out: FieldSink) -> None:

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import optimizer
-from .dictionary import ValueIdArray, id_width_bits, ids_of, run_lengths
+from .dictionary import id_width_bits, run_lengths
 from .encodings import SchemeKind, run_starts
 from .errors import EmptyColumnError
 from .optimizer import ClusterObjective, IndirectObjective
@@ -77,8 +77,7 @@ class SchemeDecision:
     cluster_coverage: float | None = None  # S * b / n at the optimal b
 
 
-def compute_stats(array: ValueIdArray | Sequence[int]) -> ColumnStats:
-    ids = ids_of(array)
+def compute_stats(ids: Sequence[int]) -> ColumnStats:
     n = len(ids)
     if n == 0:
         raise EmptyColumnError("cannot compute stats of an empty column")
@@ -111,7 +110,7 @@ def compute_stats(array: ValueIdArray | Sequence[int]) -> ColumnStats:
 
 def decide_scheme(
     stats: ColumnStats,
-    array: ValueIdArray | Sequence[int],
+    ids: Sequence[int],
     params: HeuristicParams = HeuristicParams(),
     *,
     sqrt_bound: bool = False,
@@ -122,9 +121,9 @@ def decide_scheme(
     ``sweeps``, when given, holds this column's cluster and indirect size
     sweeps under the same ``sqrt_bound``; the block sizes are then taken
     from them instead of sweeping again. Indirect sizes are taken at the
-    array's ID width, or at the width of its largest ID for a plain list.
+    width of the largest ID. Every dictionary value occurs in a column that
+    ``encode_column`` built, so that is the dictionary's ID width.
     """
-    ids = ids_of(array)
     cluster_trace, indirect_trace = sweeps or (None, None)
 
     if stats.distinct == stats.n:
@@ -151,7 +150,7 @@ def decide_scheme(
                 cluster_objective=cluster,
                 cluster_coverage=coverage,
             )
-        width = getattr(array, "id_width_bits", None) or id_width_bits(max(ids) + 1)
+        width = id_width_bits(int(np.max(ids)) + 1)
         indirect = optimizer.best_indirect(
             indirect_trace or optimizer.indirect_size_sweep(ids, width, sqrt_bound=sqrt_bound)
         )

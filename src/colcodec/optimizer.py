@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dictionary import RunLengthView, ValueIdArray, ids_of, run_lengths
+from .dictionary import run_lengths
 from .encodings import COUNT_BITS, check_block_size, indirect_block_bits, indirect_blocks, run_starts
 from .errors import EmptyColumnError
 
@@ -120,17 +120,17 @@ def _clustered_from_counts(counts: np.ndarray, block_size: int) -> int:
     return int((usable[usable > 0] // block_size).sum())
 
 
-def clustered_block_count(runs: RunLengthView, block_size: int) -> int:
-    """Single-valued full blocks at this block size, from the runs alone."""
+def clustered_block_count(runs: Sequence[tuple[int, int]], block_size: int) -> int:
+    """Single-valued full blocks at this block size, from the (id, count) runs alone."""
     check_block_size(block_size)
-    counts = np.fromiter((c for _, c in runs.runs), dtype=np.int64, count=len(runs.runs))
+    counts = np.fromiter((c for _, c in runs), dtype=np.int64, count=len(runs))
     return _clustered_from_counts(counts, block_size)
 
 
 def clustered_block_count_oracle(ids: Sequence[int], block_size: int) -> int:
     """Reference count by walking every aligned full block."""
     check_block_size(block_size)
-    ids = list(ids_of(ids))
+    ids = list(ids)
     s = 0
     for start in range(0, len(ids) - block_size + 1, block_size):
         block = ids[start : start + block_size]
@@ -157,13 +157,12 @@ def mean_block_entropy_oracle(ids: Sequence[int], b: int) -> float:
 
 
 def cluster_sweep(
-    array: ValueIdArray | Sequence[int],
+    ids: Sequence[int],
     *,
     sqrt_bound: bool = False,
     counter: VisitCounter | None = None,
 ) -> list[ClusterObjective]:
     """Evaluate F(b) for every candidate block size, ascending."""
-    ids = ids_of(array)
     candidates = candidate_block_sizes(len(ids), sqrt_bound)
     _, counts = run_lengths(ids)
     if counter:
@@ -183,13 +182,13 @@ def best_cluster(sweep: Sequence[ClusterObjective]) -> ClusterObjective:
 
 
 def optimal_cluster_block_size(
-    array: ValueIdArray | Sequence[int],
+    ids: Sequence[int],
     *,
     sqrt_bound: bool = False,
     counter: VisitCounter | None = None,
 ) -> ClusterObjective:
     """argmax of F(b); the smallest candidate wins ties."""
-    return best_cluster(cluster_sweep(array, sqrt_bound=sqrt_bound, counter=counter))
+    return best_cluster(cluster_sweep(ids, sqrt_bound=sqrt_bound, counter=counter))
 
 
 def _row_entropy_bits(rows: np.ndarray) -> np.ndarray:
@@ -215,10 +214,10 @@ def block_entropy(block: Sequence[int], base: int) -> float:
     return bits / (n * math.log2(base))
 
 
-def mean_block_entropy(array: ValueIdArray | Sequence[int], block_size: int) -> EntropyObjective:
+def mean_block_entropy(ids: Sequence[int], block_size: int) -> EntropyObjective:
     """Mean b-ary entropy: full blocks summed, ceil(N/b) in the denominator."""
     check_block_size(block_size)
-    ids = np.asarray(ids_of(array), dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
     n = len(ids)
     bits = _row_entropy_bits(ids[: n - n % block_size].reshape(-1, block_size))
     total = float((bits / (block_size * math.log2(block_size))).sum())
@@ -227,13 +226,13 @@ def mean_block_entropy(array: ValueIdArray | Sequence[int], block_size: int) -> 
 
 
 def entropy_sweep(
-    array: ValueIdArray | Sequence[int],
+    ids: Sequence[int],
     *,
     sqrt_bound: bool = False,
     counter: VisitCounter | None = None,
 ) -> list[EntropyObjective]:
     """``mean_block_entropy`` at every candidate block size, ascending."""
-    ids = np.asarray(ids_of(array), dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
     n = len(ids)
     objectives = []
     for b in candidate_block_sizes(n, sqrt_bound):
@@ -249,7 +248,7 @@ def best_entropy(sweep: Sequence[EntropyObjective]) -> EntropyObjective:
 
 
 def optimal_indirect_block_size(
-    array: ValueIdArray | Sequence[int],
+    ids: Sequence[int],
     *,
     sqrt_bound: bool = False,
     counter: VisitCounter | None = None,
@@ -259,11 +258,11 @@ def optimal_indirect_block_size(
     This is the paper's objective, reported by ``analyze``; ``compress``
     takes indirect's block size from ``indirect_size_sweep`` instead.
     """
-    return best_entropy(entropy_sweep(array, sqrt_bound=sqrt_bound, counter=counter))
+    return best_entropy(entropy_sweep(ids, sqrt_bound=sqrt_bound, counter=counter))
 
 
 def indirect_size_sweep(
-    array: ValueIdArray | Sequence[int], width: int, *, sqrt_bound: bool = False
+    ids: Sequence[int], width: int, *, sqrt_bound: bool = False
 ) -> list[IndirectObjective]:
     """Exact indirect size in bits at every candidate, ascending.
 
@@ -271,7 +270,7 @@ def indirect_size_sweep(
     equals ``encoded_size_bits(encode_array(..., SchemeKind.INDIRECT, b))``
     without encoding the column.
     """
-    ids = np.asarray(ids_of(array), dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
     objectives = []
     for b in candidate_block_sizes(len(ids), sqrt_bound):
         rows, sizes = indirect_blocks(ids, b)

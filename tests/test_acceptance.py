@@ -39,7 +39,6 @@ from colcodec import (
     write_encoded,
     VisitCounter,
 )
-from colcodec.dictionary import RunLengthView
 from colcodec.fileio import HEADER_BYTES
 
 ROUND_TRIP_BUDGET_S = 60.0  # guarantee 1
@@ -85,8 +84,8 @@ def test_03_block_size_search_matches_brute_force(search_corpus):
     # worked fixtures first: two run profiles with known winners
     assert optimal_cluster_block_size([5, 5, 5, 5, 7, 7, 7, 7]).b == 4
     assert optimal_cluster_block_size([1, 1, 1, 2, 2, 2, 2, 2]).b == 2
-    assert clustered_block_count(RunLengthView(runs=[(5, 4), (7, 4)]), 4) == 2
-    assert clustered_block_count(RunLengthView(runs=[(1, 3), (2, 5)]), 2) == 3
+    assert clustered_block_count([(5, 4), (7, 4)], 4) == 2
+    assert clustered_block_count([(1, 3), (2, 5)], 2) == 3
 
     for ids in search_corpus:
         if len(ids) < 2:

@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import colcodec.cli
 import colcodec.encodings
+import colcodec.heuristics
 import colcodec.optimizer
 import support
 from colcodec import SchemeKind, encode_array, encode_column, read_csv_column, write_encoded
@@ -350,6 +352,55 @@ def test_analyze_runs_each_sweep_once(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert json.loads(out)["decision"]["scheme"] == "indirect"
     assert calls == {"cluster_sweep": 1, "entropy_sweep": 1, "indirect_size_sweep": 1}
+
+
+@pytest.mark.parametrize(
+    "command, layers",
+    [
+        ("analyze", {"compute_stats", "decide_scheme", "cluster_sweep", "entropy_sweep",
+                     "indirect_size_sweep", "encode_array"}),
+        ("compress", {"compute_stats", "decide_scheme", "cluster_sweep", "indirect_size_sweep",
+                      "encode_array"}),
+        ("verify", {"compute_stats", "cluster_sweep", "entropy_sweep", "indirect_size_sweep",
+                    "encode_array"}),
+    ],
+)
+def test_each_command_encodes_once_and_hands_every_layer_one_array(
+    capsys, tmp_path, monkeypatch, command, layers
+):
+    csv = write_csv(tmp_path, CLUSTERED_VALUES)
+    encodes = []
+    encode = colcodec.cli.encode_column
+
+    def counted(values):
+        encodes.append(len(values))
+        return encode(values)
+
+    monkeypatch.setattr(colcodec.cli, "encode_column", counted)
+    received = {}
+    spies = [
+        (colcodec.heuristics, "compute_stats", lambda args: args[0]),
+        (colcodec.heuristics, "decide_scheme", lambda args: args[1]),
+        (colcodec.encodings, "encode_array", lambda args: args[0].ids),
+    ] + [
+        (colcodec.optimizer, name, lambda args: args[0])
+        for name in ("cluster_sweep", "entropy_sweep", "indirect_size_sweep")
+    ]
+    for module, name, ids_of_call in spies:
+
+        def spied(*args, _layer=getattr(module, name), _name=name, _ids=ids_of_call, **kwargs):
+            received.setdefault(_name, []).append(_ids(args))
+            return _layer(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spied)
+    out = ["--out", str(tmp_path / "out.bcc1")] if command == "compress" else []
+    code, _, _ = run(capsys, [command, csv, "--z", "0.8", *out])
+    assert code == 0
+    assert encodes == [len(CLUSTERED_VALUES)]
+    assert set(received) == layers
+    ids = received["compute_stats"][0]
+    assert isinstance(ids, np.ndarray) and ids.dtype == np.int64
+    assert all(got is ids for calls in received.values() for got in calls)
 
 
 def test_analyze_reads_the_indirect_size_from_the_sweep(capsys, tmp_path, monkeypatch):

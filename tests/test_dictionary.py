@@ -184,20 +184,18 @@ def test_interval_bound_tags():
 
 
 def test_to_runs_collapses_maximal_runs():
-    view = to_runs([1, 1, 2, 3, 3, 3])
-    assert view.runs == [(1, 2), (2, 1), (3, 3)]
-    assert len(view) == 3
+    assert to_runs([1, 1, 2, 3, 3, 3]) == [(1, 2), (2, 1), (3, 3)]
 
 
 def test_to_runs_empty():
-    assert to_runs([]).runs == []
+    assert to_runs([]) == []
 
 
 def test_to_runs_round_trip_seeded():
     rng = random.Random(3)
     for _ in range(200):
         ids = [rng.randint(0, 4) for _ in range(rng.randint(0, 60))]
-        runs = to_runs(ids).runs
+        runs = to_runs(ids)
         expanded: list[int] = []
         for value, count in runs:
             assert count >= 1
@@ -208,4 +206,4 @@ def test_to_runs_round_trip_seeded():
 
 def test_to_runs_accepts_value_id_array():
     _, a = encode_column(["x", "x", "y"])
-    assert to_runs(a).runs == [(0, 2), (1, 1)]
+    assert to_runs(a) == [(0, 2), (1, 1)]

@@ -11,8 +11,10 @@ import pytest
 import support
 from colcodec import (
     COUNT_BITS,
+    AffineEncoded,
     Dictionary,
     EmptyColumnError,
+    EncodedColumn,
     IdInterval,
     InvalidBlockSizeError,
     NotAffineError,
@@ -340,6 +342,15 @@ def test_scan_affine_solves_arithmetically():
     for column in (e, down):  # bounds past int64 match no row
         for interval in (IdInterval(lo=2**64), IdInterval(hi=-(2**64))):
             assert scan_id_range(column, interval) == []
+
+
+def test_affine_rows_near_2_63_raise_instead_of_coming_back_empty():
+    # np.arange rounds a length within 512 of 2**63 to an empty array
+    column = EncodedColumn(AffineEncoded(0, 1, 2**63 - 1), 64, 2**63 - 1)
+    with pytest.raises(ValueError):
+        scan_id_range(column, IdInterval(lo=3))
+    with pytest.raises(ValueError):
+        decode_array(column)
 
 
 def test_scan_empty_and_unbounded_intervals():

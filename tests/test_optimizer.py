@@ -15,7 +15,6 @@ from colcodec import (
     EntropyObjective,
     IndirectObjective,
     InvalidBlockSizeError,
-    RunLengthView,
     SchemeKind,
     VisitCounter,
     best_indirect,
@@ -60,15 +59,15 @@ def test_candidates_need_two_rows():
 
 
 def test_clustered_count_from_run_fixtures():
-    assert clustered_block_count(RunLengthView(runs=[(5, 4), (7, 4)]), 2) == 4
-    assert clustered_block_count(RunLengthView(runs=[(5, 4), (7, 4)]), 4) == 2
-    assert clustered_block_count(RunLengthView(runs=[(5, 4), (7, 4)]), 8) == 0
+    assert clustered_block_count([(5, 4), (7, 4)], 2) == 4
+    assert clustered_block_count([(5, 4), (7, 4)], 4) == 2
+    assert clustered_block_count([(5, 4), (7, 4)], 8) == 0
     # second run starts mid-block, so only its aligned tail clusters
-    assert clustered_block_count(RunLengthView(runs=[(1, 3), (2, 5)]), 2) == 3
+    assert clustered_block_count([(1, 3), (2, 5)], 2) == 3
 
 
 def test_clustered_count_rejects_bad_block_sizes():
-    runs = RunLengthView(runs=[(0, 8)])
+    runs = [(0, 8)]
     for b in (0, 1, 3, 12):
         with pytest.raises(InvalidBlockSizeError):
             clustered_block_count(runs, b)
@@ -149,7 +148,7 @@ def test_visit_counter_tallies_runs_per_candidate():
     ids = [5, 5, 5, 5, 7, 7, 7, 7]
     counter = VisitCounter()
     cluster_sweep(ids, counter=counter)
-    num_runs = len(to_runs(ids).runs)
+    num_runs = len(to_runs(ids))
     assert counter.visits == len(ids) + 3 * num_runs
 
     rng = np.random.default_rng(107)
@@ -158,7 +157,7 @@ def test_visit_counter_tallies_runs_per_candidate():
         ids = support.family_column(rng, "zipf", n)
         counter = VisitCounter()
         cluster_sweep(ids, counter=counter)
-        expected = n + len(candidate_block_sizes(n)) * len(to_runs(ids).runs)
+        expected = n + len(candidate_block_sizes(n)) * len(to_runs(ids))
         assert counter.visits == expected
         # runs never outnumber rows, so the sweep is O(n log n)
         assert counter.visits <= n * (1 + math.floor(math.log2(n)))
