@@ -111,20 +111,19 @@ def candidate_block_sizes(n: int, sqrt_bound: bool = False) -> list[int]:
     return candidates
 
 
-def _clustered_from_counts(counts: np.ndarray, block_size: int) -> int:
-    if counts.size == 0:
-        return 0
-    offsets = np.cumsum(counts) - counts  # rows before each run
-    lead = (block_size - offsets % block_size) % block_size
-    usable = counts - lead
-    return int((usable[usable > 0] // block_size).sum())
+def _clustered_from_counts(offsets: np.ndarray, counts: np.ndarray, block_size: int) -> int:
+    # offsets holds the rows before each run. block_size is a power of two
+    # (check_block_size), so (b - r % b) % b is -r & (b - 1), and // b is
+    # >> log2(b).
+    usable = counts - (-offsets & (block_size - 1))
+    return int((usable[usable > 0] >> (block_size.bit_length() - 1)).sum())
 
 
 def clustered_block_count(runs: Sequence[tuple[int, int]], block_size: int) -> int:
     """Single-valued full blocks at this block size, from the (id, count) runs alone."""
     check_block_size(block_size)
     counts = np.fromiter((c for _, c in runs), dtype=np.int64, count=len(runs))
-    return _clustered_from_counts(counts, block_size)
+    return _clustered_from_counts(np.cumsum(counts) - counts, counts, block_size)
 
 
 def clustered_block_count_oracle(ids: Sequence[int], block_size: int) -> int:
@@ -165,11 +164,12 @@ def cluster_sweep(
     """Evaluate F(b) for every candidate block size, ascending."""
     candidates = candidate_block_sizes(len(ids), sqrt_bound)
     _, counts = run_lengths(ids)
+    offsets = np.cumsum(counts) - counts  # rows before each run, the same for every b
     if counter:
         counter.add(len(ids))  # one pass to derive the runs
     objectives = []
     for b in candidates:
-        s = _clustered_from_counts(counts, b)
+        s = _clustered_from_counts(offsets, counts, b)
         if counter:
             counter.add(len(counts))  # each run record touched once per candidate
         objectives.append(ClusterObjective(b=b, s=s, f=s * (b - 1)))

@@ -235,6 +235,39 @@ def test_usage_errors_exit_one(tmp_path):
     assert info.value.code == 1
 
 
+def test_one_parser_serves_every_command_of_a_process(capsys, tmp_path):
+    """main builds its parser once per process; a forced-scheme compress, a
+    usage error and a default compress in a row each exit and print what they
+    do with a parser of their own, and write the same bytes."""
+    csv = write_csv(tmp_path, support.text_column("clustered", 3, 2000))
+    out = tmp_path / "out.bcc1"
+    commands = [
+        ["compress", csv, "--out", str(out), "--scheme", "cluster", "--block-size", "16"],
+        ["compress", csv, "--out", str(out), "--block-size", "soon"],
+        ["compress", csv, "--out", str(out)],
+    ]
+
+    def outcome(argv):
+        out.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        written = out.read_bytes() if out.exists() else None
+        return code, capsys.readouterr().out, written
+
+    alone = []
+    for argv in commands:
+        colcodec.cli._parser.cache_clear()
+        alone.append(outcome(argv))
+    colcodec.cli._parser.cache_clear()
+    together = [outcome(argv) for argv in commands]
+    assert together == alone
+    assert [code for code, _, _ in alone] == [0, 1, 0]
+    assert alone[0][1] != alone[2][1]
+    assert colcodec.cli._parser.cache_info().misses == 1
+
+
 @pytest.mark.parametrize(
     "values",
     [

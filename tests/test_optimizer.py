@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -93,6 +94,32 @@ def test_clustered_count_random_columns_match_block_walk():
         runs = to_runs(ids)
         for b in candidate_block_sizes(max(n, 2))[:6]:
             assert clustered_block_count(runs, b) == support.block_walk_clusters(ids, b)
+
+
+def test_clustered_count_matches_the_oracle_on_straddling_runs_up_to_2_20():
+    """Seeded run lists, at each b = 2**e up to 2**20, of runs shorter than a
+    block, runs crossing one to three boundaries and runs of whole blocks
+    starting anywhere: the count equals the block walk at b/2, b and 2b, and
+    the sweep, which derives the run offsets once, gives the same s at every
+    candidate."""
+    rng = random.Random(20)
+    for e in range(1, 21):
+        b = 1 << e
+        for _ in range(3 if e < 17 else 1):
+            runs, ids, value = [], [], 0
+            while len(ids) < min(12 * b, 1 << 22):
+                count = rng.choice(
+                    [rng.randint(1, max(1, b // 2)), rng.randint(b - 1, 3 * b + 1), rng.randint(1, 4) * b]
+                )
+                value = (value + rng.randint(1, 3)) % 5  # neighbouring runs differ
+                runs.append((value, count))
+                ids += [value] * count
+            for block_size in (b // 2, b, 2 * b):
+                if block_size >= 2:
+                    expected = clustered_block_count_oracle(ids, block_size)
+                    assert clustered_block_count(runs, block_size) == expected, (e, block_size)
+            sweep = cluster_sweep(np.array(ids))
+            assert [o.s for o in sweep] == [clustered_block_count(runs, o.b) for o in sweep]
 
 
 def test_cluster_sweep_lists_every_candidate_ascending():
