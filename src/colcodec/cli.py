@@ -119,7 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process: building it costs about 20 times a parse."""
+    """The one parser of this process, for callers that run ``main`` many
+    times in one process, as the benchmark harness and the tests do; a
+    one-shot command line builds one parser either way. Building it costs
+    about 20 times a parse. The parser, and with it the ``cmd_*`` functions
+    and ``HeuristicParams`` defaults it holds, is fixed at the first call."""
     return build_parser()
 
 

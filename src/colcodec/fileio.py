@@ -313,50 +313,26 @@ def read_csv_column(
     All rows must have the first row's field count. A blank line counts as a
     single empty cell, so single-column files may hold empty values. With
     has_header the first row is skipped after the width check.
-
-    The input is parsed in one streaming pass that keeps only the selected
-    cell of each row, and one string object per distinct value, so memory
-    beyond the input text is one pointer per row plus the distinct values.
-    Every row is parsed (``CsvParseError``) before the first ragged row is
-    reported, and that before the column index.
     """
     try:
         text = source.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise Utf8Error(f"input is not valid UTF-8: {exc}") from None
     reader = csv.reader(io.StringIO(text))
-    same = {}.setdefault  # the first string seen for each value
-    cells: list[str] = []
-    append = cells.append
-    width = 0  # set by the first row, which has at least one field
-    fast = -1  # width once the column is known to be in range; no row has -1 fields
-    ragged: tuple[int, int] | None = None
     try:
-        for i, row in enumerate(reader):
-            if len(row) == fast:  # the common row: full width, column in range
-                cell = row[column_index]
-                append(same(cell, cell))
-                continue
-            count = len(row) or 1  # a blank line is one empty cell
-            if not width:
-                width = count
-                if 0 <= column_index < width:
-                    fast = width
-                if has_header:
-                    continue
-            if count != width:
-                ragged = ragged or (i, count)
-            elif fast == width:  # the first row, or a blank line of a one-column file
-                cell = row[column_index] if row else ""
-                append(same(cell, cell))
+        rows = [row if row else [""] for row in reader]
     except csv.Error as exc:
         raise CsvParseError(f"line {reader.line_num}: {exc}") from None
-    if not width:
+    if not rows:
         return []
-    if ragged:
-        raise RaggedRowError(f"row {ragged[0]} has {ragged[1]} fields, expected {width}")
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise RaggedRowError(f"row {i} has {len(row)} fields, expected {width}")
     if not 0 <= column_index < width:
         raise ColumnIndexOutOfRangeError(
             f"column {column_index} of a {width}-column file"
         )
-    return cells
+    if has_header:
+        rows = rows[1:]
+    return [row[column_index] for row in rows]

@@ -7,23 +7,17 @@ package's faster paths are always checked against a second implementation.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from colcodec import (
-    ColumnIndexOutOfRangeError,
-    CsvParseError,
     InvariantViolationError,
-    RaggedRowError,
     TruncatedPayloadError,
-    Utf8Error,
     EncodedColumn,
     IdInterval,
     IndirectEncoded,
@@ -479,33 +473,3 @@ class LiteralBitReader:
             raise InvariantViolationError("nonzero padding bits", self._pos - 1)
         if self._pos != len(self._data):
             raise InvariantViolationError("trailing bytes after payload", self._pos)
-
-
-def literal_read_csv_column(
-    source: BinaryIO, column_index: int, has_header: bool = False
-) -> list[str]:
-    """Reference CSV column reader: every row parsed into a list first, then
-    the widths checked, then the column taken (``read_csv_column`` as it was
-    before it streamed)."""
-    try:
-        text = source.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise Utf8Error(f"input is not valid UTF-8: {exc}") from None
-    reader = csv.reader(io.StringIO(text))
-    try:
-        rows = [row if row else [""] for row in reader]
-    except csv.Error as exc:
-        raise CsvParseError(f"line {reader.line_num}: {exc}") from None
-    if not rows:
-        return []
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise RaggedRowError(f"row {i} has {len(row)} fields, expected {width}")
-    if not 0 <= column_index < width:
-        raise ColumnIndexOutOfRangeError(
-            f"column {column_index} of a {width}-column file"
-        )
-    if has_header:
-        rows = rows[1:]
-    return [row[column_index] for row in rows]
