@@ -66,10 +66,8 @@ from .optimizer import (
     best_cluster,
     best_entropy,
     best_indirect,
-    block_entropy,
     candidate_block_sizes,
     cluster_sweep,
-    clustered_block_count,
     clustered_block_count_oracle,
     entropy_sweep,
     indirect_size_sweep,

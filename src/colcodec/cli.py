@@ -71,23 +71,31 @@ def build_parser() -> argparse.ArgumentParser:
     csv_in.add_argument("--column", type=int, default=0, help="column index (default 0)")
     csv_in.add_argument("--header", action="store_true", help="skip the first row")
 
-    params = argparse.ArgumentParser(add_help=False)
-    defaults = HeuristicParams()
-    params.add_argument("--x", type=float, default=defaults.x, help="sparsity threshold")
-    params.add_argument("--y", type=float, default=defaults.y, help="average-repetition threshold")
-    params.add_argument("--z", type=float, default=defaults.z, help="clustered-coverage threshold")
-    params.add_argument(
+    bound = argparse.ArgumentParser(add_help=False)
+    bound.add_argument(
         "--sqrt-bound",
         action="store_true",
         help="limit optimizer candidates to block sizes b with b*b <= rows",
     )
 
+    thresholds = argparse.ArgumentParser(add_help=False)
+    defaults = HeuristicParams()
+    thresholds.add_argument("--x", type=float, default=defaults.x, help="sparsity threshold")
+    thresholds.add_argument(
+        "--y", type=float, default=defaults.y, help="average-repetition threshold"
+    )
+    thresholds.add_argument(
+        "--z", type=float, default=defaults.z, help="clustered-coverage threshold"
+    )
+
     p = sub.add_parser(
-        "analyze", parents=[csv_in, params], help="report stats, decision and sizes"
+        "analyze", parents=[csv_in, thresholds, bound], help="report stats, decision and sizes"
     )
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("compress", parents=[csv_in, params], help="encode a column file")
+    p = sub.add_parser(
+        "compress", parents=[csv_in, thresholds, bound], help="encode a column file"
+    )
     p.add_argument("--out", required=True, help="output column file")
     p.add_argument(
         "--scheme",
@@ -109,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompress)
 
     p = sub.add_parser(
-        "verify", parents=[csv_in, params], help="self-check every scheme on a column"
+        "verify", parents=[csv_in, bound], help="self-check every scheme on a column"
     )
     p.add_argument("--seed", type=int, default=0, help="seed for random scan intervals")
     p.set_defaults(func=cmd_verify)
@@ -152,21 +160,27 @@ def _optimal_block_size(kind: SchemeKind, array: ValueIdArray, sqrt_bound: bool)
     return optimizer.best_indirect(sweep).b
 
 
+def _sweeps(array: ValueIdArray, sqrt_bound: bool) -> tuple[list, list, list]:
+    """The cluster, entropy and indirect-size sweeps; all empty below two rows."""
+    if len(array.ids) < 2:
+        return [], [], []
+    return (
+        optimizer.cluster_sweep(array.ids, sqrt_bound=sqrt_bound),
+        optimizer.entropy_sweep(array.ids, sqrt_bound=sqrt_bound),
+        optimizer.indirect_size_sweep(array.ids, array.id_width_bits, sqrt_bound=sqrt_bound),
+    )
+
+
 def _analyze_report(array: ValueIdArray, params: HeuristicParams, sqrt_bound: bool) -> dict:
     stats = heuristics.compute_stats(array.ids)
 
-    if stats.n >= 2:
-        cluster_trace = optimizer.cluster_sweep(array.ids, sqrt_bound=sqrt_bound)
-        entropy_trace = optimizer.entropy_sweep(array.ids, sqrt_bound=sqrt_bound)
-        size_trace = optimizer.indirect_size_sweep(
-            array.ids, array.id_width_bits, sqrt_bound=sqrt_bound
-        )
+    cluster_trace, entropy_trace, size_trace = _sweeps(array, sqrt_bound)
+    if cluster_trace:
         best_cluster = optimizer.best_cluster(cluster_trace)
         best_entropy = optimizer.best_entropy(entropy_trace)
         best_indirect = optimizer.best_indirect(size_trace)
         sweeps = (cluster_trace, size_trace)
     else:
-        cluster_trace = entropy_trace = size_trace = []
         best_cluster = best_entropy = best_indirect = sweeps = None
     decision = heuristics.decide_scheme(
         stats, array.ids, params, sqrt_bound=sqrt_bound, sweeps=sweeps
@@ -302,7 +316,6 @@ def _random_interval(rng: random.Random, max_id: int) -> IdInterval:
 def _verification_checks(
     dictionary: Dictionary,
     array: ValueIdArray,
-    params: HeuristicParams,
     seed: int,
     sqrt_bound: bool,
 ) -> list[tuple[str, bool]]:
@@ -315,11 +328,7 @@ def _verification_checks(
     stats = heuristics.compute_stats(ids)
     checks: list[tuple[str, bool]] = []
 
-    sweep = entropy = size_trace = []
-    if n >= 2:
-        sweep = optimizer.cluster_sweep(ids, sqrt_bound=sqrt_bound)
-        entropy = optimizer.entropy_sweep(ids, sqrt_bound=sqrt_bound)
-        size_trace = optimizer.indirect_size_sweep(ids, array.id_width_bits, sqrt_bound=sqrt_bound)
+    sweep, entropy, size_trace = _sweeps(array, sqrt_bound)
     block_sizes = {  # 2 for a single row
         SchemeKind.CLUSTER: optimizer.best_cluster(sweep).b if sweep else 2,
         SchemeKind.INDIRECT: optimizer.best_indirect(size_trace).b if size_trace else 2,
@@ -415,7 +424,7 @@ def _verification_checks(
 
 def cmd_verify(args) -> int:
     dictionary, array = _load_column(args)
-    checks = _verification_checks(dictionary, array, _params(args), args.seed, args.sqrt_bound)
+    checks = _verification_checks(dictionary, array, args.seed, args.sqrt_bound)
     failures = 0
     for name, passed in checks:
         print(f"{'ok' if passed else 'FAIL':4} {name}")

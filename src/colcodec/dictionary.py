@@ -88,13 +88,6 @@ class IdInterval:
             return None
         return lo, hi
 
-    def contains(self, value_id: int) -> bool:
-        norm = self.normalize()
-        if norm is None:
-            return False
-        lo, hi = norm
-        return (lo is None or value_id >= lo) and (hi is None or value_id <= hi)
-
 
 def build_dictionary(values: Sequence[str]) -> Dictionary:
     """Sorted distinct values of a non-empty column."""

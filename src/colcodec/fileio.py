@@ -243,12 +243,6 @@ def write_encoded(sink: BinaryIO, dictionary: Dictionary, encoded: EncodedColumn
     return len(buf)
 
 
-def _take(data: bytes, pos: int, n: int, what: str) -> tuple[bytes, int]:
-    if pos + n > len(data):
-        raise TruncatedPayloadError(f"{what} truncated", pos)
-    return data[pos : pos + n], pos + n
-
-
 def read_encoded(source: BinaryIO) -> tuple[Dictionary, EncodedColumn]:
     """Parse one column file. Exact inverse of write_encoded."""
     data = source.read()
@@ -279,14 +273,17 @@ def read_encoded(source: BinaryIO) -> tuple[Dictionary, EncodedColumn]:
         raise InvariantViolationError("empty dictionary", 18)
 
     pos = HEADER_BYTES
+    end = len(data)
     values: list[str] = []
     for i in range(dict_count):
-        raw, pos = _take(data, pos, 4, f"dictionary entry {i} length")
-        (length,) = struct.unpack("<I", raw)
-        entry_at = pos
-        raw, pos = _take(data, pos, length, f"dictionary entry {i}")
+        entry_at = pos + 4
+        if entry_at > end:
+            raise TruncatedPayloadError(f"dictionary entry {i} length truncated", pos)
+        pos = entry_at + int.from_bytes(data[pos:entry_at], "little")
+        if pos > end:
+            raise TruncatedPayloadError(f"dictionary entry {i} truncated", entry_at)
         try:
-            value = raw.decode("utf-8")
+            value = data[entry_at:pos].decode("utf-8")
         except UnicodeDecodeError:
             raise InvariantViolationError(
                 f"dictionary entry {i} is not valid UTF-8", entry_at

@@ -69,11 +69,7 @@ class HeuristicParams:
 @dataclass(frozen=True)
 class SchemeDecision:
     scheme: SchemeKind
-    stats: ColumnStats
-    params: HeuristicParams
     block_size: int | None = None
-    cluster_objective: ClusterObjective | None = None
-    indirect_objective: IndirectObjective | None = None
     cluster_coverage: float | None = None  # S * b / n at the optimal b
 
 
@@ -128,13 +124,13 @@ def decide_scheme(
 
     if stats.distinct == stats.n:
         scheme = SchemeKind.AFFINE if stats.is_sequential else SchemeKind.RAW
-        return SchemeDecision(scheme=scheme, stats=stats, params=params)
+        return SchemeDecision(scheme=scheme)
     if stats.is_sorted:
-        return SchemeDecision(scheme=SchemeKind.RLE, stats=stats, params=params)
+        return SchemeDecision(scheme=SchemeKind.RLE)
     if stats.leading_run > 2 and stats.distinct > 1:
-        return SchemeDecision(scheme=SchemeKind.PREFIX, stats=stats, params=params)
+        return SchemeDecision(scheme=SchemeKind.PREFIX)
     if stats.sparsity > params.x:
-        return SchemeDecision(scheme=SchemeKind.SPARSE, stats=stats, params=params)
+        return SchemeDecision(scheme=SchemeKind.SPARSE)
     if stats.avg_repetition > params.y:
         # distinct < n here, so n >= 2 and the optimizers are defined
         cluster = optimizer.best_cluster(
@@ -143,24 +139,13 @@ def decide_scheme(
         coverage = cluster.s * cluster.b / stats.n
         if coverage > params.z:
             return SchemeDecision(
-                scheme=SchemeKind.CLUSTER,
-                stats=stats,
-                params=params,
-                block_size=cluster.b,
-                cluster_objective=cluster,
-                cluster_coverage=coverage,
+                scheme=SchemeKind.CLUSTER, block_size=cluster.b, cluster_coverage=coverage
             )
         width = id_width_bits(int(np.max(ids)) + 1)
         indirect = optimizer.best_indirect(
             indirect_trace or optimizer.indirect_size_sweep(ids, width, sqrt_bound=sqrt_bound)
         )
         return SchemeDecision(
-            scheme=SchemeKind.INDIRECT,
-            stats=stats,
-            params=params,
-            block_size=indirect.b,
-            cluster_objective=cluster,
-            indirect_objective=indirect,
-            cluster_coverage=coverage,
+            scheme=SchemeKind.INDIRECT, block_size=indirect.b, cluster_coverage=coverage
         )
-    return SchemeDecision(scheme=SchemeKind.RAW, stats=stats, params=params)
+    return SchemeDecision(scheme=SchemeKind.RAW)

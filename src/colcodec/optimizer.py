@@ -25,8 +25,7 @@ reported: entropy is summed over full aligned blocks only (a trailing
 partial block contributes nothing) and divided by ceil(N/b) blocks, so a
 long partial tail deflates the mean. ``mean_block_entropy`` is its one
 body: it cuts the full blocks into a (blocks, b) array, sorts each row, and
-scores every row from its run lengths at once; ``block_entropy`` applies the
-same formula to one row, and ``entropy_sweep`` calls ``mean_block_entropy``
+scores every row from its run lengths at once; ``entropy_sweep`` calls it
 per candidate.
 
 Ties break toward the smallest candidate in every sweep; an array where no
@@ -51,12 +50,10 @@ __all__ = [
     "IndirectObjective",
     "VisitCounter",
     "candidate_block_sizes",
-    "clustered_block_count",
     "clustered_block_count_oracle",
     "cluster_sweep",
     "best_cluster",
     "optimal_cluster_block_size",
-    "block_entropy",
     "mean_block_entropy",
     "mean_block_entropy_oracle",
     "entropy_sweep",
@@ -113,17 +110,10 @@ def candidate_block_sizes(n: int, sqrt_bound: bool = False) -> list[int]:
 
 def _clustered_from_counts(offsets: np.ndarray, counts: np.ndarray, block_size: int) -> int:
     # offsets holds the rows before each run. block_size is a power of two
-    # (check_block_size), so (b - r % b) % b is -r & (b - 1), and // b is
+    # (candidate_block_sizes), so (b - r % b) % b is -r & (b - 1), and // b is
     # >> log2(b).
     usable = counts - (-offsets & (block_size - 1))
     return int((usable[usable > 0] >> (block_size.bit_length() - 1)).sum())
-
-
-def clustered_block_count(runs: Sequence[tuple[int, int]], block_size: int) -> int:
-    """Single-valued full blocks at this block size, from the (id, count) runs alone."""
-    check_block_size(block_size)
-    counts = np.fromiter((c for _, c in runs), dtype=np.int64, count=len(runs))
-    return _clustered_from_counts(np.cumsum(counts) - counts, counts, block_size)
 
 
 def clustered_block_count_oracle(ids: Sequence[int], block_size: int) -> int:
@@ -203,15 +193,6 @@ def _row_entropy_bits(rows: np.ndarray) -> np.ndarray:
     starts = np.flatnonzero(run_starts(rows))
     c = np.diff(starts, append=rows.size)
     return m * math.log2(m) - np.bincount(starts // m, weights=c * np.log2(c), minlength=len(rows))
-
-
-def block_entropy(block: Sequence[int], base: int) -> float:
-    """Empirical Shannon entropy of the block in the given log base."""
-    n = len(block)
-    if n == 0:
-        raise EmptyColumnError("cannot take the entropy of an empty block")
-    bits = float(_row_entropy_bits(np.asarray(block, np.int64).reshape(1, n))[0])
-    return bits / (n * math.log2(base))
 
 
 def mean_block_entropy(ids: Sequence[int], block_size: int) -> EntropyObjective:

@@ -160,7 +160,8 @@ def stats_oracle(ids: Sequence[int]) -> dict:
 
 def scan_oracle(encoded: EncodedColumn, interval: IdInterval) -> list[int]:
     """Decode-then-filter reference for scan_id_range."""
-    return [i for i, v in enumerate(decode_array(encoded)) if interval.contains(v)]
+    hit = interval_test(interval)
+    return [i for i, v in enumerate(decode_array(encoded)) if hit(v)]
 
 
 def random_interval(rng: random.Random, max_id: int) -> IdInterval:
@@ -202,6 +203,12 @@ def _plain(values) -> list:
 def _hit(lo: int | None, hi: int | None):
     """Membership test for the closed interval [lo, hi]; None is unbounded."""
     return lambda v: (lo is None or v >= lo) and (hi is None or v <= hi)
+
+
+def interval_test(interval: IdInterval):
+    """Membership test for an IdInterval: its normalized bounds, or no ID at all."""
+    bounds = interval.normalize()
+    return (lambda v: False) if bounds is None else _hit(*bounds)
 
 
 def literal_scan_raw(p, lo: int | None, hi: int | None) -> list[int]:

@@ -18,10 +18,8 @@ import support
 from colcodec import (
     HeuristicParams,
     SchemeKind,
-    block_entropy,
     candidate_block_sizes,
     cluster_sweep,
-    clustered_block_count,
     clustered_block_count_oracle,
     compute_stats,
     decide_scheme,
@@ -35,7 +33,6 @@ from colcodec import (
     optimal_indirect_block_size,
     read_encoded,
     scan_id_range,
-    to_runs,
     write_encoded,
     VisitCounter,
 )
@@ -72,11 +69,14 @@ def test_01_every_scheme_round_trips_across_families():
 
 def test_02_run_recurrence_matches_exhaustive_block_walks(search_corpus):
     for ids in search_corpus:
-        runs = to_runs(ids)
-        candidates = candidate_block_sizes(len(ids)) if len(ids) >= 2 else [2, 4]
+        if len(ids) >= 2:
+            counts = {o.b: o.s for o in cluster_sweep(ids)}  # the run recurrence
+            candidates = candidate_block_sizes(len(ids))
+        else:
+            counts, candidates = {}, [2, 4]  # no sweep, and no full block
         for b in candidates:
             expected = support.block_walk_clusters(ids, b)
-            assert clustered_block_count(runs, b) == expected
+            assert counts.get(b, 0) == expected
             assert clustered_block_count_oracle(ids, b) == expected
 
 
@@ -84,8 +84,8 @@ def test_03_block_size_search_matches_brute_force(search_corpus):
     # worked fixtures first: two run profiles with known winners
     assert optimal_cluster_block_size([5, 5, 5, 5, 7, 7, 7, 7]).b == 4
     assert optimal_cluster_block_size([1, 1, 1, 2, 2, 2, 2, 2]).b == 2
-    assert clustered_block_count([(5, 4), (7, 4)], 4) == 2
-    assert clustered_block_count([(1, 3), (2, 5)], 2) == 3
+    assert {o.b: o.s for o in cluster_sweep([5] * 4 + [7] * 4)}[4] == 2
+    assert {o.b: o.s for o in cluster_sweep([1] * 3 + [2] * 5)}[2] == 3
 
     for ids in search_corpus:
         if len(ids) < 2:
@@ -137,14 +137,16 @@ def test_05_searched_block_size_never_loses_to_fixed_1024(search_corpus, wide_co
 
 def test_06_entropy_scores_and_argmin_fixtures():
     rng = np.random.default_rng(20240804)
+    # a block of exactly b rows is one full block: its mean is its own entropy
     for _ in range(200):
         b = int(2 ** rng.integers(1, 9))
         block = [int(v) for v in rng.integers(0, 12, size=b)]
-        assert abs(block_entropy(block, b) - support.entropy_oracle(block, b)) <= ENTROPY_TOL
+        got = mean_block_entropy(block, b).mean_entropy
+        assert abs(got - support.entropy_oracle(block, b)) <= ENTROPY_TOL
 
     for b in (2, 4, 8, 16, 64, 256):
-        assert block_entropy([7] * b, b) == 0.0
-        assert abs(block_entropy(list(range(b)), b) - 1.0) <= UNIT_BLOCK_TOL
+        assert mean_block_entropy([7] * b, b).mean_entropy == 0.0
+        assert abs(mean_block_entropy(list(range(b)), b).mean_entropy - 1.0) <= UNIT_BLOCK_TOL
 
     paired = [0, 0, 1, 1]
     assert mean_block_entropy(paired, 2).mean_entropy == 0.0

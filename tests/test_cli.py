@@ -235,6 +235,24 @@ def test_usage_errors_exit_one(tmp_path):
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--x", "3"), ("--y", "3"), ("--z", "0.9")])
+def test_verify_takes_no_thresholds(capsys, tmp_path, flag, value):
+    """The thresholds steer the scheme decision, which verify does not make:
+    verify rejects them as a usage error, and analyze still takes them."""
+    csv = write_csv(tmp_path, SORTED_VALUES)
+    with pytest.raises(SystemExit) as info:
+        main(["verify", csv, flag, value])
+    captured = capsys.readouterr()
+    assert info.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: colcodec")
+    assert f"error: unrecognized arguments: {flag} {value}" in captured.err
+
+    code, out, _ = run(capsys, ["analyze", csv, flag, value])
+    assert code == 0
+    assert json.loads(out)["params"][flag[2:]] == float(value)
+
+
 def test_one_parser_serves_every_command_of_a_process(capsys, tmp_path):
     """main builds its parser once per process; a forced-scheme compress, a
     usage error and a default compress in a row each exit and print what they
@@ -426,8 +444,9 @@ def test_each_command_encodes_once_and_hands_every_layer_one_array(
             return _layer(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spied)
+    flags = [] if command == "verify" else ["--z", "0.8"]  # verify takes no thresholds
     out = ["--out", str(tmp_path / "out.bcc1")] if command == "compress" else []
-    code, _, _ = run(capsys, [command, csv, "--z", "0.8", *out])
+    code, _, _ = run(capsys, [command, csv, *flags, *out])
     assert code == 0
     assert encodes == [len(CLUSTERED_VALUES)]
     assert set(received) == layers

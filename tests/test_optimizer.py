@@ -15,14 +15,11 @@ from colcodec import (
     EmptyColumnError,
     EntropyObjective,
     IndirectObjective,
-    InvalidBlockSizeError,
     SchemeKind,
     VisitCounter,
     best_indirect,
-    block_entropy,
     candidate_block_sizes,
     cluster_sweep,
-    clustered_block_count,
     clustered_block_count_oracle,
     encode_array,
     encoded_size_bits,
@@ -59,29 +56,26 @@ def test_candidates_need_two_rows():
             candidate_block_sizes(n)
 
 
+def sweep_counts(ids) -> dict[int, int]:
+    """Single-valued full blocks at each candidate b, as the cluster sweep
+    counts them; no candidate, and no full block, below two rows."""
+    return {o.b: o.s for o in cluster_sweep(ids)} if len(ids) >= 2 else {}
+
+
 def test_clustered_count_from_run_fixtures():
-    assert clustered_block_count([(5, 4), (7, 4)], 2) == 4
-    assert clustered_block_count([(5, 4), (7, 4)], 4) == 2
-    assert clustered_block_count([(5, 4), (7, 4)], 8) == 0
+    assert sweep_counts([5] * 4 + [7] * 4) == {2: 4, 4: 2, 8: 0}
     # second run starts mid-block, so only its aligned tail clusters
-    assert clustered_block_count([(1, 3), (2, 5)], 2) == 3
-
-
-def test_clustered_count_rejects_bad_block_sizes():
-    runs = [(0, 8)]
-    for b in (0, 1, 3, 12):
-        with pytest.raises(InvalidBlockSizeError):
-            clustered_block_count(runs, b)
+    assert sweep_counts([1] * 3 + [2] * 5)[2] == 3
 
 
 def test_clustered_count_exhaustive_binary_columns():
     for n in range(1, 11):
         for bits in itertools.product((0, 1), repeat=n):
             ids = list(bits)
-            runs = to_runs(ids)
+            counts = sweep_counts(ids)
             for b in (2, 4, 8):
                 expected = support.block_walk_clusters(ids, b)
-                assert clustered_block_count(runs, b) == expected
+                assert counts.get(b, 0) == expected  # b > n is no candidate and holds no block
                 assert clustered_block_count_oracle(ids, b) == expected
 
 
@@ -91,35 +85,32 @@ def test_clustered_count_random_columns_match_block_walk():
         n = int(rng.integers(1, 4097))
         family = support.FAMILIES[int(rng.integers(len(support.FAMILIES)))]
         ids = support.family_column(rng, family, n)
-        runs = to_runs(ids)
+        counts = sweep_counts(ids)
         for b in candidate_block_sizes(max(n, 2))[:6]:
-            assert clustered_block_count(runs, b) == support.block_walk_clusters(ids, b)
+            assert counts.get(b, 0) == support.block_walk_clusters(ids, b)
 
 
 def test_clustered_count_matches_the_oracle_on_straddling_runs_up_to_2_20():
     """Seeded run lists, at each b = 2**e up to 2**20, of runs shorter than a
     block, runs crossing one to three boundaries and runs of whole blocks
-    starting anywhere: the count equals the block walk at b/2, b and 2b, and
-    the sweep, which derives the run offsets once, gives the same s at every
-    candidate."""
+    starting anywhere: the sweep's count equals the block walk at b/2, b and
+    2b."""
     rng = random.Random(20)
     for e in range(1, 21):
         b = 1 << e
         for _ in range(3 if e < 17 else 1):
-            runs, ids, value = [], [], 0
+            ids, value = [], 0
             while len(ids) < min(12 * b, 1 << 22):
                 count = rng.choice(
                     [rng.randint(1, max(1, b // 2)), rng.randint(b - 1, 3 * b + 1), rng.randint(1, 4) * b]
                 )
                 value = (value + rng.randint(1, 3)) % 5  # neighbouring runs differ
-                runs.append((value, count))
                 ids += [value] * count
+            counts = sweep_counts(np.array(ids))
             for block_size in (b // 2, b, 2 * b):
                 if block_size >= 2:
                     expected = clustered_block_count_oracle(ids, block_size)
-                    assert clustered_block_count(runs, block_size) == expected, (e, block_size)
-            sweep = cluster_sweep(np.array(ids))
-            assert [o.s for o in sweep] == [clustered_block_count(runs, o.b) for o in sweep]
+                    assert counts[block_size] == expected, (e, block_size)
 
 
 def test_cluster_sweep_lists_every_candidate_ascending():
@@ -190,15 +181,19 @@ def test_visit_counter_tallies_runs_per_candidate():
         assert counter.visits <= n * (1 + math.floor(math.log2(n)))
 
 
+# A block of exactly b rows is one full block over a denominator of one, so
+# its mean block entropy at b is that block's own b-ary entropy.
+
+
 def test_block_entropy_exact_fixtures():
-    assert block_entropy([3, 3, 3, 3], 4) == 0.0
-    assert block_entropy([0, 0, 1, 1], 4) == 0.5
-    assert block_entropy([0, 1], 2) == 1.0
+    assert mean_block_entropy([3, 3, 3, 3], 4).mean_entropy == 0.0
+    assert mean_block_entropy([0, 0, 1, 1], 4).mean_entropy == 0.5
+    assert mean_block_entropy([0, 1], 2).mean_entropy == 1.0
 
 
 def test_block_entropy_uniform_block_is_exactly_one():
     for b in (2, 4, 8, 16, 64, 256):
-        assert abs(block_entropy(list(range(b)), b) - 1.0) <= 1e-12
+        assert abs(mean_block_entropy(list(range(b)), b).mean_entropy - 1.0) <= 1e-12
 
 
 def test_block_entropy_is_permutation_invariant():
@@ -206,7 +201,7 @@ def test_block_entropy_is_permutation_invariant():
     ids = [int(i) for i in rng.integers(0, 5, size=32)]
     shuffled = list(ids)
     rng.shuffle(shuffled)
-    assert block_entropy(ids, 32) == block_entropy(shuffled, 32)
+    assert mean_block_entropy(ids, 32) == mean_block_entropy(shuffled, 32)
 
 
 def test_block_entropy_matches_natural_log_oracle():
@@ -214,12 +209,8 @@ def test_block_entropy_matches_natural_log_oracle():
     for _ in range(200):
         b = int(2 ** rng.integers(1, 9))
         block = [int(i) for i in rng.integers(0, 10, size=b)]
-        assert abs(block_entropy(block, b) - support.entropy_oracle(block, b)) <= 1e-9
-
-
-def test_block_entropy_rejects_empty_block():
-    with pytest.raises(EmptyColumnError):
-        block_entropy([], 4)
+        got = mean_block_entropy(block, b).mean_entropy
+        assert abs(got - support.entropy_oracle(block, b)) <= 1e-9
 
 
 def test_mean_block_entropy_fixtures():
