@@ -46,6 +46,7 @@ from .errors import (
     InvariantViolationError,
     NotAffineError,
     RaggedRowError,
+    RowCountError,
     TruncatedPayloadError,
     UnsupportedVersionError,
     Utf8Error,

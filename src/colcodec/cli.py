@@ -164,11 +164,8 @@ def _sweeps(array: ValueIdArray, sqrt_bound: bool) -> tuple[list, list, list]:
     """The cluster, entropy and indirect-size sweeps; all empty below two rows."""
     if len(array.ids) < 2:
         return [], [], []
-    return (
-        optimizer.cluster_sweep(array.ids, sqrt_bound=sqrt_bound),
-        optimizer.entropy_sweep(array.ids, sqrt_bound=sqrt_bound),
-        optimizer.indirect_size_sweep(array.ids, array.id_width_bits, sqrt_bound=sqrt_bound),
-    )
+    entropy, sizes = optimizer.indirect_sweeps(array.ids, array.id_width_bits, sqrt_bound=sqrt_bound)
+    return optimizer.cluster_sweep(array.ids, sqrt_bound=sqrt_bound), entropy, sizes
 
 
 def _analyze_report(array: ValueIdArray, params: HeuristicParams, sqrt_bound: bool) -> dict:
@@ -321,8 +318,8 @@ def _verification_checks(
 ) -> list[tuple[str, bool]]:
     rng = random.Random(seed)
     ids = array.ids
-    # The oracles are literal per-row walks; they walk a list, which is faster
-    # to iterate than the array's numpy scalars.
+    # The scan and cluster oracles are literal per-row walks; they walk a list,
+    # which is faster to iterate than the array's numpy scalars.
     id_list = ids.tolist()
     n = len(ids)
     stats = heuristics.compute_stats(ids)
@@ -389,7 +386,7 @@ def _verification_checks(
             )
         )
 
-        oracle_h = {o.b: optimizer.mean_block_entropy_oracle(id_list, o.b) for o in entropy}
+        oracle_h = {o.b: optimizer.mean_block_entropy_oracle(ids, o.b) for o in entropy}
         for objective in entropy:
             checks.append(
                 (

@@ -71,6 +71,7 @@ from .errors import (
     InvalidBlockSizeError,
     InvariantViolationError,
     NotAffineError,
+    RowCountError,
     TruncatedPayloadError,
 )
 
@@ -246,6 +247,12 @@ def _positions(n: int) -> type:
     return np.uint64 if n >> 63 else np.int64
 
 
+def _check_decodable(n: int) -> None:
+    """Refuse, before allocating, n rows that no array can hold."""
+    if n >> 63:
+        raise RowCountError(f"cannot decode {n} rows", 6)  # the header's row count
+
+
 def _check_id(value: int, dict_count: int, what: str, offset: int) -> None:
     if value >= dict_count:
         raise InvariantViolationError(
@@ -313,6 +320,7 @@ def encode_prefix(ids: Sequence[int]) -> PrefixEncoded:
 
 
 def decode_prefix(encoded: PrefixEncoded) -> np.ndarray:
+    _check_decodable(encoded.prefix_count + len(encoded.rest))
     head = np.full(encoded.prefix_count, encoded.prefix_id, encoded.rest.dtype)
     return np.concatenate((head, encoded.rest))
 
@@ -351,6 +359,7 @@ def encode_rle(ids: Sequence[int]) -> RleEncoded:
 
 
 def decode_rle(encoded: RleEncoded) -> np.ndarray:
+    _check_decodable(int(encoded.lengths.sum()))  # numpy's repeat refuses uint64 counts
     return np.repeat(encoded.values, encoded.lengths)
 
 

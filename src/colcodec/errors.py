@@ -61,3 +61,7 @@ class TruncatedPayloadError(FormatError):
 
 class InvariantViolationError(FormatError):
     """Structurally readable file whose content breaks a format invariant."""
+
+
+class RowCountError(FormatError):
+    """A column claims more rows than one array can hold (2**63 or more)."""

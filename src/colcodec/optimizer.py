@@ -11,22 +11,29 @@ its start first spends (b - r) % b rows finishing that straddling block
 rows close one single-valued block. Runs are maximal, so blocks never
 cluster across run boundaries.
 
-Indirect's block size is the argmin of its exact encoded size. For each
-candidate, the column is cut into a (blocks, b) array as the encoder cuts
-it (``encodings.indirect_blocks``) and each row is sorted, so a row's
-distinct IDs k and run lengths c come from comparing neighbours. A block
-costs what ``encode_indirect`` stores for it, priced by the encoder's own
-rule, ``encodings.indirect_block_bits``: its local dictionary, local IDs and
+Indirect's statistics come from one walk over (ID, block) segments, with no
+sort per candidate. One stable argsort ranks the rows by ID and keeps each
+ID's rows in row order, so the rows an ID holds in one block are one
+contiguous segment of that ranking, for any b. Its length is the ID's count
+c in the block. Candidates double, so each keeps a subset of the previous
+candidate's segment starts. Per candidate, the segments per block give the
+block's distinct IDs k, and within a block they come in ascending ID order,
+as the runs of the block sorted as a row would.
+
+Indirect's block size is the argmin of its exact encoded size. A block costs
+what ``encode_indirect`` stores for it, priced by the encoder's own rule,
+``encodings.indirect_block_bits``: its local dictionary, local IDs and
 64-bit local-dictionary count when that pays, else its IDs at global width
-W. One tag bit per block and the 64-bit indirect-block count are added.
+W. The trailing partial block is priced at its own row count. One tag bit
+per block and the 64-bit indirect-block count are added.
 
 The paper's own indirect objective, the mean b-ary block entropy, is still
 reported: entropy is summed over full aligned blocks only (a trailing
 partial block contributes nothing) and divided by ceil(N/b) blocks, so a
-long partial tail deflates the mean. ``mean_block_entropy`` is its one
-body: it cuts the full blocks into a (blocks, b) array, sorts each row, and
-scores every row from its run lengths at once; ``entropy_sweep`` calls it
-per candidate.
+long partial tail deflates the mean. A full block holds
+b*log2 b - sum c*log2 c bits. ``indirect_sweeps`` gives both traces from one
+walk; ``entropy_sweep``, ``indirect_size_sweep`` and ``mean_block_entropy``
+read the same walk.
 
 Ties break toward the smallest candidate in every sweep; an array where no
 block ever clusters yields (b=2, F=0).
@@ -36,12 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .dictionary import run_lengths
-from .encodings import COUNT_BITS, check_block_size, indirect_block_bits, indirect_blocks, run_starts
+from .encodings import COUNT_BITS, check_block_size, indirect_block_bits
 from .errors import EmptyColumnError
 
 __all__ = [
@@ -60,6 +67,7 @@ __all__ = [
     "best_entropy",
     "optimal_indirect_block_size",
     "indirect_size_sweep",
+    "indirect_sweeps",
     "best_indirect",
 ]
 
@@ -129,20 +137,21 @@ def clustered_block_count_oracle(ids: Sequence[int], block_size: int) -> int:
 
 
 def mean_block_entropy_oracle(ids: Sequence[int], b: int) -> float:
-    """Reference mean block entropy: natural-log histograms, same block walk."""
+    """Reference mean block entropy by natural logs, on the aligned block walk.
+
+    Each full block is sorted as a row of one array, and each ID's share p of
+    its block is read off where the row's runs start: the per-row form, not
+    the segment walk the sweeps use.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
     n = len(ids)
-    total = 0.0
-    for start in range(0, n - b + 1, b):
-        block = ids[start : start + b]
-        freqs: dict[int, int] = {}
-        for v in block:
-            freqs[v] = freqs.get(v, 0) + 1
-        h = 0.0
-        for c in freqs.values():
-            p = c / len(block)
-            h -= p * math.log(p)
-        total += h / math.log(b)
-    return total / math.ceil(n / b)
+    rows = np.sort(ids[: n - n % b].reshape(-1, b), axis=1)
+    new = np.ones(rows.shape, dtype=bool)
+    new[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    starts = np.flatnonzero(new)
+    p = np.diff(starts, append=rows.size) / b
+    h = -np.bincount(starts // b, weights=p * np.log(p), minlength=len(rows))
+    return float((h / math.log(b)).sum()) / math.ceil(n / b)
 
 
 def cluster_sweep(
@@ -181,29 +190,83 @@ def optimal_cluster_block_size(
     return best_cluster(cluster_sweep(ids, sqrt_bound=sqrt_bound, counter=counter))
 
 
-def _row_entropy_bits(rows: np.ndarray) -> np.ndarray:
-    """Each row's empirical Shannon entropy times its length, in bits.
+def _sort_keys(ids: np.ndarray) -> np.ndarray:
+    """The IDs at the narrowest unsigned dtype that holds them, where a
+    stable argsort of uint8 or uint16 is a radix sort; int64 when one is
+    negative."""
+    if len(ids) and ids.min() >= 0:
+        top = ids.max()
+        for dtype in (np.uint8, np.uint16, np.uint32):
+            if top <= np.iinfo(dtype).max:
+                return ids.astype(dtype)
+    return ids
 
-    A row of m IDs whose sorted runs have lengths c holds
-    m*log2 m - sum c*log2 c bits. log2 is exact on powers of two, so over
-    b = 2^k rows a constant block scores 0 and b distinct values b*k.
+
+def _segments(
+    ids: np.ndarray, candidates: Sequence[int]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Per candidate b, ascending: each (ID, block) segment's block and row count.
+
+    Rows at positions r and s share a block of b = 2^e rows iff r ^ s < b. So
+    a ranked row starts a segment at every b up to its reach: where it holds
+    a new ID, every b, else its position XOR that of the row ranked before it.
     """
-    m = rows.shape[1]
-    rows = np.sort(rows, axis=1)
-    starts = np.flatnonzero(run_starts(rows))
-    c = np.diff(starts, append=rows.size)
-    return m * math.log2(m) - np.bincount(starts // m, weights=c * np.log2(c), minlength=len(rows))
+    n = len(ids)
+    keys = _sort_keys(ids)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    del keys
+    # Below 2**32 rows, ranks, rows and their XORs fit uint32, which halves
+    # the walk's memory, and uint32's top stays above every block size.
+    starts = np.empty((3, n), dtype=np.uint32 if n < 1 << 32 else np.int64)
+    rank, reach, row = starts  # per segment start
+    row[:] = order
+    del order
+    rank[:] = np.arange(n, dtype=starts.dtype)
+    new_id = np.iinfo(starts.dtype).max
+    reach[:1] = new_id
+    np.bitwise_xor(row[1:], row[:-1], out=reach[1:])
+    reach[1:][ranked[1:] != ranked[:-1]] = new_id
+    del ranked, reach  # reach is a view: it would keep the first stack alive
+    for b in candidates:
+        # One take along the stacked rows filters all three at once.
+        starts = np.compress(starts[1] >= b, starts, axis=1)
+        rank, _, row = starts
+        yield b, row >> (b.bit_length() - 1), np.diff(rank, append=n)
+
+
+def _mean_entropy(n: int, b: int, block: np.ndarray, c: np.ndarray) -> float:
+    """Full blocks' b-ary entropy summed, over ceil(N/b) blocks.
+
+    A full block whose IDs occur c times each holds b*log2 b - sum c*log2 c
+    bits. log2 is exact on powers of two, so a constant block scores 0 and
+    b distinct values b*log2 b.
+    """
+    full = n // b
+    held = np.log2(c)
+    held *= c  # c*log2 c, in place
+    bits = b * math.log2(b) - np.bincount(block, weights=held, minlength=full)[:full]
+    total = float((bits / (b * math.log2(b))).sum())
+    blocks = -(-n // b)
+    return total / blocks if blocks else 0.0
+
+
+def _indirect_bits(n: int, b: int, block: np.ndarray, width: int) -> int:
+    """encoded_size_bits of indirect at b: each block's bits by the encoder's
+    rule, the indirect-block count, and one tag bit per block."""
+    full = n // b
+    k = np.bincount(block)  # every block holds a segment, so one count per block
+    bits = indirect_block_bits(k[:full], b, width)[1].sum()
+    bits += indirect_block_bits(k[full:], n % b, width)[1].sum()  # the partial tail, if any
+    return int(bits) + COUNT_BITS + len(k)
 
 
 def mean_block_entropy(ids: Sequence[int], block_size: int) -> EntropyObjective:
     """Mean b-ary entropy: full blocks summed, ceil(N/b) in the denominator."""
     check_block_size(block_size)
     ids = np.asarray(ids, dtype=np.int64)
-    n = len(ids)
-    bits = _row_entropy_bits(ids[: n - n % block_size].reshape(-1, block_size))
-    total = float((bits / (block_size * math.log2(block_size))).sum())
-    blocks = -(-n // block_size)
-    return EntropyObjective(b=block_size, mean_entropy=total / blocks if blocks else 0.0)
+    ((_, block, c),) = _segments(ids, [block_size])
+    return EntropyObjective(b=block_size, mean_entropy=_mean_entropy(len(ids), block_size, block, c))
 
 
 def entropy_sweep(
@@ -216,8 +279,8 @@ def entropy_sweep(
     ids = np.asarray(ids, dtype=np.int64)
     n = len(ids)
     objectives = []
-    for b in candidate_block_sizes(n, sqrt_bound):
-        objectives.append(mean_block_entropy(ids, b))
+    for b, block, c in _segments(ids, candidate_block_sizes(n, sqrt_bound)):
+        objectives.append(EntropyObjective(b=b, mean_entropy=_mean_entropy(n, b, block, c)))
         if counter:
             counter.add(n - n % b)  # rows inside scored blocks
     return objectives
@@ -252,14 +315,24 @@ def indirect_size_sweep(
     without encoding the column.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    objectives = []
-    for b in candidate_block_sizes(len(ids), sqrt_bound):
-        rows, sizes = indirect_blocks(ids, b)
-        k = np.count_nonzero(run_starts(np.sort(rows, axis=1)), axis=1)
-        bits = int(indirect_block_bits(k, sizes, width)[1].sum())
-        bits += COUNT_BITS + len(rows)  # the indirect-block count, one tag bit per block
-        objectives.append(IndirectObjective(b=b, bits=bits))
-    return objectives
+    n = len(ids)
+    return [
+        IndirectObjective(b=b, bits=_indirect_bits(n, b, block, width))
+        for b, block, _ in _segments(ids, candidate_block_sizes(n, sqrt_bound))
+    ]
+
+
+def indirect_sweeps(
+    ids: Sequence[int], width: int, *, sqrt_bound: bool = False
+) -> tuple[list[EntropyObjective], list[IndirectObjective]]:
+    """``entropy_sweep`` and ``indirect_size_sweep`` from one walk."""
+    ids = np.asarray(ids, dtype=np.int64)
+    n = len(ids)
+    entropies, sizes = [], []
+    for b, block, c in _segments(ids, candidate_block_sizes(n, sqrt_bound)):
+        entropies.append(EntropyObjective(b=b, mean_entropy=_mean_entropy(n, b, block, c)))
+        sizes.append(IndirectObjective(b=b, bits=_indirect_bits(n, b, block, width)))
+    return entropies, sizes
 
 
 def best_indirect(sweep: Sequence[IndirectObjective]) -> IndirectObjective:

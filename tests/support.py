@@ -26,6 +26,8 @@ from colcodec import (
     decode_array,
     id_width_bits,
 )
+from colcodec import encodings
+from colcodec.encodings import COUNT_BITS, indirect_block_bits, run_starts
 
 FAMILIES = (
     "constant",
@@ -135,6 +137,30 @@ def mean_entropy_oracle(ids: Sequence[int], b: int) -> float:
     for start in range(0, len(ids) - b + 1, b):
         total += entropy_oracle(ids[start : start + b], b)
     return total / math.ceil(len(ids) / b)
+
+
+def sorted_rows_mean_entropy(ids: Sequence[int], b: int) -> float:
+    """The mean block entropy with one sort per block size: the full blocks
+    cut into a (blocks, b) array, each row sorted, and every row scored from
+    its run lengths c as b*log2 b - sum c*log2 c bits."""
+    ids = np.asarray(ids, dtype=np.int64)
+    n = len(ids)
+    rows = np.sort(ids[: n - n % b].reshape(-1, b), axis=1)
+    starts = np.flatnonzero(run_starts(rows))
+    c = np.diff(starts, append=rows.size)
+    bits = b * math.log2(b) - np.bincount(starts // b, weights=c * np.log2(c), minlength=len(rows))
+    total = float((bits / (b * math.log2(b))).sum())
+    blocks = -(-n // b)
+    return total / blocks if blocks else 0.0
+
+
+def sorted_rows_indirect_bits(ids: Sequence[int], b: int, width: int) -> int:
+    """Indirect's exact size with one sort per block size: the column cut
+    into blocks as the encoder cuts it, each row sorted, and its distinct IDs
+    priced by the encoder's rule."""
+    rows, sizes = encodings.indirect_blocks(np.asarray(ids, dtype=np.int64), b)
+    k = np.count_nonzero(run_starts(np.sort(rows, axis=1)), axis=1)
+    return int(indirect_block_bits(k, sizes, width)[1].sum()) + COUNT_BITS + len(rows)
 
 
 def stats_oracle(ids: Sequence[int]) -> dict:

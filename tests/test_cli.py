@@ -390,7 +390,7 @@ def test_verify_scans_the_column_it_read_back(capsys, tmp_path, monkeypatch):
 
 def test_analyze_runs_each_sweep_once(capsys, tmp_path, monkeypatch):
     csv = write_csv(tmp_path, CLUSTERED_VALUES)
-    calls = {"cluster_sweep": 0, "entropy_sweep": 0, "indirect_size_sweep": 0}
+    calls = {"cluster_sweep": 0, "entropy_sweep": 0, "indirect_size_sweep": 0, "indirect_sweeps": 0}
     for name in calls:
         sweep = getattr(colcodec.optimizer, name)
 
@@ -402,18 +402,18 @@ def test_analyze_runs_each_sweep_once(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, ["analyze", csv, "--z", "0.8"])
     assert code == 0
     assert json.loads(out)["decision"]["scheme"] == "indirect"
-    assert calls == {"cluster_sweep": 1, "entropy_sweep": 1, "indirect_size_sweep": 1}
+    # both indirect traces come from one walk
+    assert calls == {"cluster_sweep": 1, "entropy_sweep": 0, "indirect_size_sweep": 0, "indirect_sweeps": 1}
 
 
 @pytest.mark.parametrize(
     "command, layers",
     [
-        ("analyze", {"compute_stats", "decide_scheme", "cluster_sweep", "entropy_sweep",
-                     "indirect_size_sweep", "encode_array"}),
+        ("analyze", {"compute_stats", "decide_scheme", "cluster_sweep", "indirect_sweeps",
+                     "encode_array"}),
         ("compress", {"compute_stats", "decide_scheme", "cluster_sweep", "indirect_size_sweep",
                       "encode_array"}),
-        ("verify", {"compute_stats", "cluster_sweep", "entropy_sweep", "indirect_size_sweep",
-                    "encode_array"}),
+        ("verify", {"compute_stats", "cluster_sweep", "indirect_sweeps", "encode_array"}),
     ],
 )
 def test_each_command_encodes_once_and_hands_every_layer_one_array(
@@ -435,7 +435,7 @@ def test_each_command_encodes_once_and_hands_every_layer_one_array(
         (colcodec.encodings, "encode_array", lambda args: args[0].ids),
     ] + [
         (colcodec.optimizer, name, lambda args: args[0])
-        for name in ("cluster_sweep", "entropy_sweep", "indirect_size_sweep")
+        for name in ("cluster_sweep", "entropy_sweep", "indirect_size_sweep", "indirect_sweeps")
     ]
     for module, name, ids_of_call in spies:
 
@@ -485,7 +485,7 @@ def test_analyze_reads_the_indirect_size_from_the_sweep(capsys, tmp_path, monkey
 @pytest.mark.parametrize("flags, cluster_b", [([], 64), (["--sqrt-bound"], 8)])
 def test_verify_sweeps_once_under_its_own_bound(capsys, tmp_path, monkeypatch, flags, cluster_b):
     csv = write_csv(tmp_path, ["v7"] * 64)
-    calls = {"cluster_sweep": 0, "entropy_sweep": 0, "indirect_size_sweep": 0}
+    calls = {"cluster_sweep": 0, "entropy_sweep": 0, "indirect_size_sweep": 0, "indirect_sweeps": 0}
     for name in calls:
         sweep = getattr(colcodec.optimizer, name)
 
@@ -504,7 +504,8 @@ def test_verify_sweeps_once_under_its_own_bound(capsys, tmp_path, monkeypatch, f
     monkeypatch.setattr(colcodec.encodings, "encode_array", spied)
     code, _, _ = run(capsys, ["verify", csv, *flags])
     assert code == 0
-    assert calls == {"cluster_sweep": 1, "entropy_sweep": 1, "indirect_size_sweep": 1}
+    # both indirect traces come from one walk
+    assert calls == {"cluster_sweep": 1, "entropy_sweep": 0, "indirect_size_sweep": 0, "indirect_sweeps": 1}
     assert block_sizes[colcodec.encodings.SchemeKind.CLUSTER] == cluster_b
     # a constant 1-bit column never pays locally, so the fewest blocks win
     assert block_sizes[colcodec.encodings.SchemeKind.INDIRECT] == cluster_b

@@ -22,6 +22,7 @@ from colcodec import (
     IdInterval,
     InvariantViolationError,
     RaggedRowError,
+    RowCountError,
     SchemeKind,
     TruncatedPayloadError,
     UnsupportedVersionError,
@@ -36,6 +37,7 @@ from colcodec import (
     scan_id_range,
     write_encoded,
 )
+from colcodec.cli import main
 from colcodec.fileio import HEADER_BYTES, MAGIC, VERSION, _BitReader, _BitWriter
 
 
@@ -635,6 +637,25 @@ def test_scans_of_a_claimed_row_count_allocate_by_the_rows_returned():
     assert misses == [[], [], [], []]
     assert last_rows == [[], [2**62 - 1], [2**64 - 2], [2**64 - 2]]
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "scheme, counts", [(2, [2, 2**64 - 2, 1]), (1, [2**64 - 2])], ids=["rle", "prefix"]
+)
+def test_decoding_past_2_63_rows_raises_a_format_error_naming_the_rows(
+    capsys, tmp_path, scheme, counts
+):
+    data = claimed_rows_file(scheme, 2**64 - 1, counts, 0b10)
+    with pytest.raises(RowCountError, match=f"cannot decode {2**64 - 1} rows"):
+        decode_array(read_encoded(io.BytesIO(data))[1])
+    path, out = tmp_path / "claimed.bcc1", tmp_path / "out.csv"
+    path.write_bytes(data)
+    code = main(["decompress", str(path), "--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    assert code == 1
+    assert stderr == f"error: RowCountError: cannot decode {2**64 - 1} rows (byte offset 6)\n"
+    assert "Traceback" not in stdout + stderr
+    assert not out.exists()
 
 
 if __name__ == "__main__":

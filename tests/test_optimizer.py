@@ -25,12 +25,14 @@ from colcodec import (
     encoded_size_bits,
     encoded_size_breakdown,
     entropy_sweep,
+    id_width_bits,
     indirect_size_sweep,
     mean_block_entropy,
     optimal_cluster_block_size,
     optimal_indirect_block_size,
     to_runs,
 )
+from colcodec.optimizer import indirect_sweeps, mean_block_entropy_oracle
 
 
 def test_candidates_are_powers_of_two_up_to_n():
@@ -302,6 +304,71 @@ def test_entropy_sweep_matches_the_literal_block_walk():
                 assert abs(objective.mean_entropy - literal) <= 1e-12
             # the sweep counted the rows inside scored blocks
             assert counter.visits == sum((len(ids) // b) * b for b in candidates)
+
+
+def assert_walk_equals_sorted_rows(ids, width):
+    """Both traces, from every entry point, equal the sort-per-candidate
+    references exactly: ``==`` on the floats, no tolerance."""
+    candidates = candidate_block_sizes(len(ids))
+    entropy = [support.sorted_rows_mean_entropy(ids, b) for b in candidates]
+    bits = [support.sorted_rows_indirect_bits(ids, b, width) for b in candidates]
+    for sqrt_bound in (False, True):
+        kept = len(candidate_block_sizes(len(ids), sqrt_bound))  # the bound keeps a prefix
+        entropies, sizes = indirect_sweeps(ids, width, sqrt_bound=sqrt_bound)
+        assert [(o.b, o.mean_entropy) for o in entropies] == list(zip(candidates, entropy))[:kept]
+        assert [(o.b, o.bits) for o in sizes] == list(zip(candidates, bits))[:kept]
+        assert entropy_sweep(ids, sqrt_bound=sqrt_bound) == entropies
+        assert indirect_size_sweep(ids, width, sqrt_bound=sqrt_bound) == sizes
+    assert [mean_block_entropy(ids, b).mean_entropy for b in candidates] == entropy
+
+
+def test_the_segment_walk_equals_the_sorted_rows_on_the_search_corpora(search_corpus, wide_corpus):
+    columns = [ids for ids in search_corpus if len(ids) >= 2] + wide_corpus
+    for ids in map(np.array, columns):
+        width = id_width_bits(int(ids.max()) + 1)
+        candidates = candidate_block_sizes(len(ids))
+        entropies, sizes = indirect_sweeps(ids, width)
+        assert [o.mean_entropy for o in entropies] == [
+            support.sorted_rows_mean_entropy(ids, b) for b in candidates
+        ]
+        assert [o.bits for o in sizes] == [
+            support.sorted_rows_indirect_bits(ids, b, width) for b in candidates
+        ]
+
+
+@pytest.mark.parametrize("top", [1, 255, 256, 65_535, 65_536, 2**32])
+def test_the_segment_walk_equals_the_sorted_rows_at_the_sort_key_seams(top):
+    """Largest IDs on both sides of the uint8, uint16 and uint32 sort keys;
+    lengths with partial tails and a candidate above n/2; one-value columns."""
+    rng = np.random.default_rng(top)
+    width = id_width_bits(top + 1)
+    for n in (2, 3, 5, 17, 1000, 4099):
+        uniform = rng.integers(0, top + 1, n)
+        uniform[rng.integers(n)] = top
+        few = rng.choice([0, top // 2, top], n)
+        for ids in (uniform, few, np.sort(few), np.full(n, top), np.zeros(n, np.int64)):
+            assert_walk_equals_sorted_rows(ids, width)
+            assert_walk_equals_sorted_rows(ids.tolist(), width)
+
+
+def test_mean_block_entropy_equals_the_sorted_rows_off_the_candidates():
+    rng = np.random.default_rng(149)
+    columns = [[], [5], [-3, -3, 7], [-(2**40), 2**40, 0, -1] * 5, rng.integers(-9, 9, 777).tolist()]
+    for ids in columns:
+        for b in (2, 4, 8, 64, 2**20, 2**31):  # b > n holds no full block
+            want = support.sorted_rows_mean_entropy(ids, b)
+            assert mean_block_entropy(ids, b) == EntropyObjective(b=b, mean_entropy=want)
+
+
+def test_the_verify_oracle_is_within_1e_12_of_the_histogram_walk(search_corpus, wide_corpus):
+    rng = np.random.default_rng(151)
+    picks = rng.choice(len(search_corpus), 120, replace=False)
+    columns = [search_corpus[i] for i in picks if len(search_corpus[i]) >= 2] + wide_corpus
+    for ids in columns:
+        for b in candidate_block_sizes(len(ids)):
+            literal = support.mean_entropy_oracle(ids, b)
+            assert abs(mean_block_entropy_oracle(ids, b) - literal) <= 1e-12
+            assert abs(mean_block_entropy_oracle(np.array(ids), b) - literal) <= 1e-12
 
 
 def literal_indirect_sizes(ids):

@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "HeuristicParams", "IdInterval", "IdOutOfRangeError", "IndirectEncoded",
     "IndirectObjective", "InvalidBlockSizeError", "InvariantViolationError",
     "NotAffineError", "PrefixEncoded", "RaggedRowError", "RawEncoded", "RleEncoded",
-    "SchemeDecision", "SchemeKind", "SparseEncoded", "TruncatedPayloadError",
+    "RowCountError", "SchemeDecision", "SchemeKind", "SparseEncoded", "TruncatedPayloadError",
     "UnsupportedVersionError", "Utf8Error", "ValueIdArray", "VisitCounter",
     "best_cluster", "best_entropy", "best_indirect", "build_dictionary",
     "candidate_block_sizes", "cluster_sweep", "clustered_block_count_oracle",
