@@ -25,8 +25,12 @@ them by the field names ``pack`` writes; ``encoded_size_bits`` is their sum.
 Every payload but affine holds its per-row, per-run and per-block sequences
 as numpy arrays (bit vectors as bool arrays), and payloads compare by value,
 so an encoder's int64 arrays equal the narrower unsigned arrays a file is read
-into. Encoders take any ID sequence; codecs decode and scan to int arrays, and
-only ``decode_array`` and ``scan_id_range`` turn them into lists.
+into. ``encode_array`` is the one way into a layout: it takes the IDs as one
+int64 array, with no copy when they already are one, checks a blocked
+scheme's block size, and hands both to the codec's ``encode``, which copies
+what its payload keeps, so no payload shares memory with the caller's IDs.
+Codecs decode and scan to int arrays, and only ``decode_array`` and
+``scan_id_range`` turn them into lists.
 
 ``scan_id_range`` finds the row positions whose ID falls in an interval
 without decoding the column: raw, sparse and cluster build one boolean row
@@ -94,21 +98,7 @@ __all__ = [
     "CODECS",
     "COUNT_BITS",
     "check_block_size",
-    "run_starts",
-    "indirect_blocks",
     "indirect_block_bits",
-    "encode_prefix",
-    "decode_prefix",
-    "encode_rle",
-    "decode_rle",
-    "encode_sparse",
-    "decode_sparse",
-    "encode_cluster",
-    "decode_cluster",
-    "encode_indirect",
-    "decode_indirect",
-    "encode_affine",
-    "decode_affine",
     "encode_array",
     "decode_array",
     "encoded_size_bits",
@@ -227,7 +217,7 @@ class EncodedColumn:
         return self.codec.kind
 
 
-def _require_rows(ids: Sequence[int]) -> None:
+def _require_rows(ids: np.ndarray) -> None:
     if not len(ids):
         raise EmptyColumnError("cannot encode an empty column")
 
@@ -293,9 +283,13 @@ def _read_counts(br: _BitReader, count: int, what: str, zero: str) -> list[int]:
     return counts
 
 
-def _encode_raw(ids: Sequence[int], block_size: Any, width: int) -> RawEncoded:
+def _encode_raw(ids: np.ndarray, block_size: Any, width: int) -> RawEncoded:
     _require_rows(ids)
-    return RawEncoded(ids=np.array(ids, np.int64))
+    return RawEncoded(ids=ids.copy())
+
+
+def _decode_raw(encoded: RawEncoded) -> np.ndarray:
+    return encoded.ids
 
 
 def _scan_raw(p: RawEncoded, lo: int | None, hi: int | None) -> np.ndarray:
@@ -310,16 +304,15 @@ def _unpack_raw(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> RawE
     return RawEncoded(ids=_read_ids(br, n, w, dict_count, "id"))
 
 
-def encode_prefix(ids: Sequence[int]) -> PrefixEncoded:
+def _encode_prefix(ids: np.ndarray, block_size: Any, width: int) -> PrefixEncoded:
     """Capture the literal leading run; the remainder is stored verbatim."""
     _require_rows(ids)
-    ids = np.array(ids, np.int64)
     other = _first(ids != ids[0])
     count = len(ids) if other is None else other
-    return PrefixEncoded(prefix_id=int(ids[0]), prefix_count=count, rest=ids[count:])
+    return PrefixEncoded(prefix_id=int(ids[0]), prefix_count=count, rest=ids[count:].copy())
 
 
-def decode_prefix(encoded: PrefixEncoded) -> np.ndarray:
+def _decode_prefix(encoded: PrefixEncoded) -> np.ndarray:
     _check_decodable(encoded.prefix_count + len(encoded.rest))
     head = np.full(encoded.prefix_count, encoded.prefix_id, encoded.rest.dtype)
     return np.concatenate((head, encoded.rest))
@@ -353,12 +346,12 @@ def _unpack_prefix(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> P
     return PrefixEncoded(prefix_id=prefix_id, prefix_count=prefix_count, rest=rest)
 
 
-def encode_rle(ids: Sequence[int]) -> RleEncoded:
+def _encode_rle(ids: np.ndarray, block_size: Any, width: int) -> RleEncoded:
     _require_rows(ids)
     return RleEncoded(*run_lengths(ids))
 
 
-def decode_rle(encoded: RleEncoded) -> np.ndarray:
+def _decode_rle(encoded: RleEncoded) -> np.ndarray:
     _check_decodable(int(encoded.lengths.sum()))  # numpy's repeat refuses uint64 counts
     return np.repeat(encoded.values, encoded.lengths)
 
@@ -403,17 +396,16 @@ def _unpack_rle(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> RleE
     return RleEncoded(values=values, lengths=np.array(lengths, _positions(n)))
 
 
-def encode_sparse(ids: Sequence[int]) -> SparseEncoded:
+def _encode_sparse(ids: np.ndarray, block_size: Any, width: int) -> SparseEncoded:
     """Drop the most frequent ID; ties pick the smallest ID."""
     _require_rows(ids)
-    ids = np.array(ids, np.int64)
     values, counts = np.unique(ids, return_counts=True)
     dominant = int(values[np.argmax(counts)])  # values ascend; argmax takes the first
     present = ids == dominant
     return SparseEncoded(dominant_id=dominant, positions=present, residual=ids[~present])
 
 
-def decode_sparse(encoded: SparseEncoded) -> np.ndarray:
+def _decode_sparse(encoded: SparseEncoded) -> np.ndarray:
     present = encoded.positions
     out = np.full(len(present), encoded.dominant_id, encoded.residual.dtype)
     out[~present] = encoded.residual
@@ -443,15 +435,13 @@ def _unpack_sparse(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> S
     return SparseEncoded(dominant_id=dominant, positions=bits, residual=residual)
 
 
-def encode_cluster(ids: Sequence[int], block_size: int) -> ClusterEncoded:
+def _encode_cluster(ids: np.ndarray, block_size: int, width: int) -> ClusterEncoded:
     """Replace aligned single-valued full blocks with one ID each.
 
     A trailing short block (length not divisible by block_size) is never
     flagged, even when single-valued.
     """
-    check_block_size(block_size)
     _require_rows(ids)
-    ids = np.array(ids, np.int64)
     n = len(ids)
     full = n // block_size
     blocks = ids[: full * block_size].reshape(full, block_size)
@@ -475,7 +465,7 @@ def _flagged_rows(flags: np.ndarray, b: int, n: int) -> np.ndarray:
     return rows
 
 
-def decode_cluster(encoded: ClusterEncoded) -> np.ndarray:
+def _decode_cluster(encoded: ClusterEncoded) -> np.ndarray:
     flagged = _flagged_rows(encoded.flags, encoded.block_size, encoded.length)
     out = np.empty(encoded.length, encoded.uncompressed.dtype)
     out[flagged] = np.repeat(encoded.singles, encoded.block_size)
@@ -513,13 +503,6 @@ def _unpack_cluster(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> 
     )
 
 
-def run_starts(rows: np.ndarray) -> np.ndarray:
-    """True where a sorted row's run of equal IDs begins."""
-    starts = np.ones(rows.shape, dtype=bool)
-    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    return starts
-
-
 def _id_widths(k: np.ndarray) -> np.ndarray:
     """``id_width_bits`` of each entry of k."""
     return np.maximum(np.frexp(k - 1)[1], 1, dtype=np.int64)
@@ -541,30 +524,26 @@ def indirect_block_bits(
     return pays, np.where(pays, local + COUNT_BITS, direct)
 
 
-def indirect_blocks(ids: np.ndarray, block_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The column cut into indirect blocks, as a (blocks, b) array, and each
-    block's row count. The trailing block is padded with its last ID, which
-    adds no distinct ID; b is the column length when that is shorter."""
+def _encode_indirect(ids: np.ndarray, block_size: int, width: int) -> IndirectEncoded:
+    """Per block, remap to a local dictionary where ``indirect_block_bits``
+    says that pays; the trailing short block is priced at its own length.
+
+    The column is cut into a (blocks, b) array whose trailing block is padded
+    with its last ID, which adds no distinct ID; b is the column length when
+    that is shorter. Each block is sorted as a row, and its runs of equal IDs
+    are its local dictionary.
+    """
+    _require_rows(ids)
     n = len(ids)
     b = min(block_size, n)  # a block as long as the column is the only one
     rows = np.append(ids, np.full(-n % b, ids[-1])).reshape(-1, b)
-    return rows, np.minimum(b, n - b * np.arange(len(rows)))
-
-
-def encode_indirect(
-    ids: Sequence[int], block_size: int, global_width_bits: int
-) -> IndirectEncoded:
-    """Per block, remap to a local dictionary where ``indirect_block_bits``
-    says that pays; the trailing short block is priced at its own length."""
-    check_block_size(block_size)
-    _require_rows(ids)
-    ids = np.array(ids, np.int64)
-    rows, sizes = indirect_blocks(ids, block_size)
+    sizes = np.minimum(b, n - b * np.arange(len(rows)))
     order = np.argsort(rows, axis=1)
     ranked = np.take_along_axis(rows, order, axis=1)
-    starts = run_starts(ranked)
+    starts = np.ones(rows.shape, dtype=bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
     k = np.count_nonzero(starts, axis=1)
-    tags, _ = indirect_block_bits(k, sizes, global_width_bits)
+    tags, _ = indirect_block_bits(k, sizes, width)
     local = np.empty_like(rows)
     np.put_along_axis(local, order, np.cumsum(starts, axis=1) - 1, axis=1)
     return IndirectEncoded(
@@ -572,8 +551,8 @@ def encode_indirect(
         tags=tags,
         dict_sizes=k[tags],
         local_dicts=ranked[starts & tags[:, None]],
-        payload=np.where(tags[:, None], local, rows).ravel()[: len(ids)],
-        length=len(ids),
+        payload=np.where(tags[:, None], local, rows).ravel()[:n],
+        length=n,
     )
 
 
@@ -587,7 +566,7 @@ def _dict_starts(p: IndirectEncoded) -> tuple[np.ndarray, np.ndarray]:
     return tags[block], starts[block]
 
 
-def decode_indirect(encoded: IndirectEncoded) -> np.ndarray:
+def _decode_indirect(encoded: IndirectEncoded) -> np.ndarray:
     tagged, starts = _dict_starts(encoded)
     out = encoded.payload.copy()
     out[tagged] = encoded.local_dicts[starts[tagged] + out[tagged]]
@@ -698,12 +677,12 @@ def _unpack_indirect(br: _BitReader, n: int, b: int, dict_count: int, w: int) ->
     )
 
 
-def encode_affine(ids: Sequence[int]) -> AffineEncoded:
+def _encode_affine(ids: np.ndarray, block_size: Any, width: int) -> AffineEncoded:
     """Store strictly sequential IDs (stride +1 or -1) as start and step."""
     n = len(ids)
     if n < 2:
         raise NotAffineError(f"affine encoding needs at least 2 rows, got {n}")
-    strides = np.diff(np.asarray(ids, np.int64))  # stride i leads into row i + 1
+    strides = np.diff(ids)  # stride i leads into row i + 1
     step = int(strides[0])
     if step not in (1, -1):
         raise NotAffineError(f"stride between rows 0 and 1 is {step}, not +-1")
@@ -726,7 +705,7 @@ def _row_range(start: int, stop: int) -> np.ndarray:
     return np.arange(start, stop) if start < stop else np.arange(0)
 
 
-def decode_affine(encoded: AffineEncoded) -> np.ndarray:
+def _decode_affine(encoded: AffineEncoded) -> np.ndarray:
     return encoded.start_id + encoded.step * _row_range(0, encoded.length)
 
 
@@ -767,9 +746,11 @@ def _unpack_affine(br: _BitReader, n: int, b: int, dict_count: int, w: int) -> A
 class Codec:
     """Everything one scheme knows about its layout.
 
-    ``encode`` takes (ids, block size, ID width). ``decode`` returns the IDs
-    in the dtype the payload holds them in, and ``scan``, given closed ID
-    bounds (None unbounded), the ascending row positions as an int array.
+    ``encode`` takes (ids, block size, ID width) from ``encode_array`` only:
+    the IDs as an int64 array it must not keep or modify, and for a blocked
+    scheme a block size already checked. ``decode`` returns the IDs in the
+    dtype the payload holds them in, and ``scan``, given closed ID bounds
+    (None unbounded), the ascending row positions as an int array.
     ``pack`` takes the payload, the ID width and a field sink, and names
     every field it writes, even an empty one: ``u64s(name, values)`` for
     the counts region, ``bits(name, values, width)`` for the packed region.
@@ -783,7 +764,7 @@ class Codec:
     tag: int  # scheme byte of the file header
     blocked: bool  # takes a block size, stored in the file header
     payload_type: type
-    encode: Callable[[Sequence[int], Any, int], Any]
+    encode: Callable[[np.ndarray, Any, int], Any]
     decode: Callable[[Any], np.ndarray]
     scan: Callable[[Any, int | None, int | None], np.ndarray]
     pack: Callable[[Any, int, FieldSink], None]
@@ -794,26 +775,19 @@ CODECS: dict[SchemeKind, Codec] = {
     codec.kind: codec
     for codec in (
         Codec(SchemeKind.RAW, 0, False, RawEncoded,
-              _encode_raw, lambda p: p.ids,
-              _scan_raw, _pack_raw, _unpack_raw),
+              _encode_raw, _decode_raw, _scan_raw, _pack_raw, _unpack_raw),
         Codec(SchemeKind.PREFIX, 1, False, PrefixEncoded,
-              lambda ids, b, w: encode_prefix(ids), decode_prefix,
-              _scan_prefix, _pack_prefix, _unpack_prefix),
+              _encode_prefix, _decode_prefix, _scan_prefix, _pack_prefix, _unpack_prefix),
         Codec(SchemeKind.RLE, 2, False, RleEncoded,
-              lambda ids, b, w: encode_rle(ids), decode_rle,
-              _scan_rle, _pack_rle, _unpack_rle),
+              _encode_rle, _decode_rle, _scan_rle, _pack_rle, _unpack_rle),
         Codec(SchemeKind.SPARSE, 3, False, SparseEncoded,
-              lambda ids, b, w: encode_sparse(ids), decode_sparse,
-              _scan_sparse, _pack_sparse, _unpack_sparse),
+              _encode_sparse, _decode_sparse, _scan_sparse, _pack_sparse, _unpack_sparse),
         Codec(SchemeKind.CLUSTER, 4, True, ClusterEncoded,
-              lambda ids, b, w: encode_cluster(ids, b), decode_cluster,
-              _scan_cluster, _pack_cluster, _unpack_cluster),
+              _encode_cluster, _decode_cluster, _scan_cluster, _pack_cluster, _unpack_cluster),
         Codec(SchemeKind.INDIRECT, 5, True, IndirectEncoded,
-              encode_indirect, decode_indirect,
-              _scan_indirect, _pack_indirect, _unpack_indirect),
+              _encode_indirect, _decode_indirect, _scan_indirect, _pack_indirect, _unpack_indirect),
         Codec(SchemeKind.AFFINE, 6, False, AffineEncoded,
-              lambda ids, b, w: encode_affine(ids), decode_affine,
-              _scan_affine, _pack_affine, _unpack_affine),
+              _encode_affine, _decode_affine, _scan_affine, _pack_affine, _unpack_affine),
     )
 }
 _CODEC_OF_PAYLOAD = {codec.payload_type: codec for codec in CODECS.values()}
@@ -822,11 +796,18 @@ _CODEC_OF_PAYLOAD = {codec.payload_type: codec for codec in CODECS.values()}
 def encode_array(
     array: ValueIdArray, scheme: SchemeKind, block_size: int | None = None
 ) -> EncodedColumn:
-    """Encode a value-ID array under one scheme."""
+    """Encode a value-ID array under one scheme: the one way into a layout.
+
+    The IDs are taken as one int64 array, with no copy when they already are
+    one, and a blocked scheme's block size is checked here, before its codec
+    encodes them.
+    """
     codec = CODECS[scheme]
-    if codec.blocked and block_size is None:
-        raise ValueError(f"{scheme.value} encoding needs a block size")
-    ids, width = array.ids, array.id_width_bits
+    if codec.blocked:
+        if block_size is None:
+            raise ValueError(f"{scheme.value} encoding needs a block size")
+        check_block_size(block_size)
+    ids, width = np.asarray(array.ids, np.int64), array.id_width_bits
     return EncodedColumn(
         payload=codec.encode(ids, block_size, width), id_width_bits=width, length=len(ids)
     )

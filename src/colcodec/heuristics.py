@@ -26,7 +26,7 @@ import numpy as np
 
 from . import optimizer
 from .dictionary import id_width_bits, run_lengths
-from .encodings import SchemeKind, run_starts
+from .encodings import SchemeKind
 from .errors import EmptyColumnError
 from .optimizer import ClusterObjective, IndirectObjective
 
@@ -81,7 +81,7 @@ def compute_stats(ids: Sequence[int]) -> ColumnStats:
     # A value's frequency is the sum of its runs' lengths: sort the runs by
     # value and add up the lengths of each value's runs.
     order = np.argsort(values)
-    firsts = np.flatnonzero(run_starts(values[order].reshape(1, -1)))
+    firsts = np.append(0, np.flatnonzero(np.diff(values[order])) + 1)
     distinct = len(firsts)
     max_freq = int(np.add.reduceat(lengths[order], firsts).max())
     # Runs are maximal: sorted iff run values strictly increase, and

@@ -21,7 +21,7 @@ block's distinct IDs k, and within a block they come in ascending ID order,
 as the runs of the block sorted as a row would.
 
 Indirect's block size is the argmin of its exact encoded size. A block costs
-what ``encode_indirect`` stores for it, priced by the encoder's own rule,
+what the indirect encoder stores for it, priced by the encoder's own rule,
 ``encodings.indirect_block_bits``: its local dictionary, local IDs and
 64-bit local-dictionary count when that pays, else its IDs at global width
 W. The trailing partial block is priced at its own row count. One tag bit
@@ -254,11 +254,9 @@ def _mean_entropy(n: int, b: int, block: np.ndarray, c: np.ndarray) -> float:
 def _indirect_bits(n: int, b: int, block: np.ndarray, width: int) -> int:
     """encoded_size_bits of indirect at b: each block's bits by the encoder's
     rule, the indirect-block count, and one tag bit per block."""
-    full = n // b
     k = np.bincount(block)  # every block holds a segment, so one count per block
-    bits = indirect_block_bits(k[:full], b, width)[1].sum()
-    bits += indirect_block_bits(k[full:], n % b, width)[1].sum()  # the partial tail, if any
-    return int(bits) + COUNT_BITS + len(k)
+    rows = np.minimum(b, n - b * np.arange(len(k)))  # the partial tail, if any, is short
+    return int(indirect_block_bits(k, rows, width)[1].sum()) + COUNT_BITS + len(k)
 
 
 def mean_block_entropy(ids: Sequence[int], block_size: int) -> EntropyObjective:

@@ -24,10 +24,10 @@ from colcodec import (
     SchemeKind,
     ValueIdArray,
     decode_array,
+    encode_array,
     id_width_bits,
 )
-from colcodec import encodings
-from colcodec.encodings import COUNT_BITS, indirect_block_bits, run_starts
+from colcodec.encodings import CODECS, COUNT_BITS, indirect_block_bits
 
 FAMILIES = (
     "constant",
@@ -43,6 +43,21 @@ FAMILIES = (
 def make_array(ids: Sequence[int]) -> ValueIdArray:
     width = id_width_bits(max(ids) + 1) if len(ids) else 1
     return ValueIdArray(ids=list(ids), id_width_bits=width)
+
+
+def encode(
+    kind: SchemeKind, ids: Sequence[int], block_size: int | None = None, width: int | None = None
+):
+    """The payload ``encode_array`` stores for these IDs, at the ID width
+    ``make_array`` gives them unless ``width`` is given."""
+    width = make_array(ids).id_width_bits if width is None else width
+    return encode_array(ValueIdArray(ids=list(ids), id_width_bits=width), kind, block_size).payload
+
+
+def decode(payload) -> np.ndarray:
+    """The IDs a payload holds, through its scheme's codec."""
+    (codec,) = (codec for codec in CODECS.values() if type(payload) is codec.payload_type)
+    return codec.decode(payload)
 
 
 def family_column(rng: np.random.Generator, family: str, n: int) -> list[int]:
@@ -139,6 +154,13 @@ def mean_entropy_oracle(ids: Sequence[int], b: int) -> float:
     return total / math.ceil(len(ids) / b)
 
 
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """True where a sorted row's run of equal IDs begins."""
+    starts = np.ones(rows.shape, dtype=bool)
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    return starts
+
+
 def sorted_rows_mean_entropy(ids: Sequence[int], b: int) -> float:
     """The mean block entropy with one sort per block size: the full blocks
     cut into a (blocks, b) array, each row sorted, and every row scored from
@@ -146,7 +168,7 @@ def sorted_rows_mean_entropy(ids: Sequence[int], b: int) -> float:
     ids = np.asarray(ids, dtype=np.int64)
     n = len(ids)
     rows = np.sort(ids[: n - n % b].reshape(-1, b), axis=1)
-    starts = np.flatnonzero(run_starts(rows))
+    starts = np.flatnonzero(_run_starts(rows))
     c = np.diff(starts, append=rows.size)
     bits = b * math.log2(b) - np.bincount(starts // b, weights=c * np.log2(c), minlength=len(rows))
     total = float((bits / (b * math.log2(b))).sum())
@@ -158,8 +180,13 @@ def sorted_rows_indirect_bits(ids: Sequence[int], b: int, width: int) -> int:
     """Indirect's exact size with one sort per block size: the column cut
     into blocks as the encoder cuts it, each row sorted, and its distinct IDs
     priced by the encoder's rule."""
-    rows, sizes = encodings.indirect_blocks(np.asarray(ids, dtype=np.int64), b)
-    k = np.count_nonzero(run_starts(np.sort(rows, axis=1)), axis=1)
+    ids = np.asarray(ids, dtype=np.int64)
+    n = len(ids)
+    b = min(b, n)  # a block as long as the column is the only one
+    # The trailing block is padded with its last ID, which adds no distinct ID.
+    rows = np.append(ids, np.full(-n % b, ids[-1])).reshape(-1, b)
+    sizes = np.minimum(b, n - b * np.arange(len(rows)))
+    k = np.count_nonzero(_run_starts(np.sort(rows, axis=1)), axis=1)
     return int(indirect_block_bits(k, sizes, width)[1].sum()) + COUNT_BITS + len(rows)
 
 

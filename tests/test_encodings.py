@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,30 +30,16 @@ from colcodec import (
     scan_id_range,
     write_encoded,
 )
-from colcodec.encodings import (
-    decode_affine,
-    decode_cluster,
-    decode_indirect,
-    decode_prefix,
-    decode_rle,
-    decode_sparse,
-    encode_affine,
-    encode_cluster,
-    encode_indirect,
-    encode_prefix,
-    encode_rle,
-    encode_sparse,
-)
 
 
 def test_prefix_captures_leading_run():
-    e = encode_prefix([4, 4, 4, 7, 7, 2])
+    e = support.encode(SchemeKind.PREFIX, [4, 4, 4, 7, 7, 2])
     assert (e.prefix_id, e.prefix_count, e.rest.tolist()) == (4, 3, [7, 7, 2])
-    assert decode_prefix(e).tolist() == [4, 4, 4, 7, 7, 2]
+    assert support.decode(e).tolist() == [4, 4, 4, 7, 7, 2]
 
 
 def test_prefix_of_constant_column_swallows_everything():
-    e = encode_prefix([5, 5])
+    e = support.encode(SchemeKind.PREFIX, [5, 5])
     assert (e.prefix_id, e.prefix_count, e.rest.tolist()) == (5, 2, [])
 
 
@@ -60,93 +47,93 @@ def test_prefix_rest_never_restarts_the_run():
     rng = random.Random(1)
     for _ in range(100):
         ids = [rng.randint(0, 3) for _ in range(rng.randint(1, 30))]
-        e = encode_prefix(ids)
+        e = support.encode(SchemeKind.PREFIX, ids)
         assert e.prefix_count >= 1
         assert not len(e.rest) or e.rest[0] != e.prefix_id
 
 
 def test_rle_runs_are_maximal():
-    e = encode_rle([0, 0, 1, 2, 2, 2])
+    e = support.encode(SchemeKind.RLE, [0, 0, 1, 2, 2, 2])
     assert list(zip(e.values.tolist(), e.lengths.tolist())) == [(0, 2), (1, 1), (2, 3)]
-    assert decode_rle(e).tolist() == [0, 0, 1, 2, 2, 2]
+    assert support.decode(e).tolist() == [0, 0, 1, 2, 2, 2]
 
 
 def test_sparse_drops_the_dominant_id():
-    e = encode_sparse([9, 9, 3, 9, 5])
+    e = support.encode(SchemeKind.SPARSE, [9, 9, 3, 9, 5])
     assert e.dominant_id == 9
     assert e.positions.tolist() == [True, True, False, True, False]
     assert e.residual.tolist() == [3, 5]
-    assert decode_sparse(e).tolist() == [9, 9, 3, 9, 5]
+    assert support.decode(e).tolist() == [9, 9, 3, 9, 5]
 
 
 def test_sparse_frequency_tie_picks_smallest_id():
-    assert encode_sparse([2, 1]).dominant_id == 1
-    assert encode_sparse([5, 5, 3, 3]).dominant_id == 3
+    assert support.encode(SchemeKind.SPARSE, [2, 1]).dominant_id == 1
+    assert support.encode(SchemeKind.SPARSE, [5, 5, 3, 3]).dominant_id == 3
 
 
 def test_sparse_popcount_accounts_for_every_row():
     rng = np.random.default_rng(5)
     for _ in range(50):
         ids = list(rng.integers(0, 4, size=int(rng.integers(1, 80))))
-        e = encode_sparse([int(i) for i in ids])
+        e = support.encode(SchemeKind.SPARSE, [int(i) for i in ids])
         assert np.count_nonzero(e.positions) + len(e.residual) == len(ids)
         assert e.dominant_id not in e.residual
 
 
 def test_cluster_separates_single_valued_blocks():
-    e = encode_cluster([1, 1, 2, 3, 3, 3], 2)
+    e = support.encode(SchemeKind.CLUSTER, [1, 1, 2, 3, 3, 3], 2)
     assert e.flags.tolist() == [True, False, True]
     assert e.singles.tolist() == [1, 3]
     assert e.uncompressed.tolist() == [2, 3]
-    assert decode_cluster(e).tolist() == [1, 1, 2, 3, 3, 3]
+    assert support.decode(e).tolist() == [1, 1, 2, 3, 3, 3]
 
 
 def test_cluster_trailing_partial_block_is_never_flagged():
     # last block [7] is single-valued but shorter than b, so it stays raw
-    e = encode_cluster([7, 7, 7], 2)
+    e = support.encode(SchemeKind.CLUSTER, [7, 7, 7], 2)
     assert e.flags.tolist() == [True, False]
     assert e.singles.tolist() == [7]
     assert e.uncompressed.tolist() == [7]
 
-    e = encode_cluster([4, 4, 4, 4, 4], 4)
+    e = support.encode(SchemeKind.CLUSTER, [4, 4, 4, 4, 4], 4)
     assert e.flags.tolist() == [True, False]
-    assert decode_cluster(e).tolist() == [4] * 5
+    assert support.decode(e).tolist() == [4] * 5
 
 
 def test_cluster_rejects_bad_block_sizes():
     for b in (0, 1, 3, 6, 1 << 32):
         with pytest.raises(InvalidBlockSizeError):
-            encode_cluster([0, 0], b)
+            support.encode(SchemeKind.CLUSTER, [0, 0], b)
 
 
 def test_indirect_block_goes_local_when_strictly_cheaper():
     # W=4, b=4, k=2: 2*4 + 4*1 = 12 < 16
-    e = encode_indirect([0, 0, 1, 1], 4, 4)
+    e = support.encode(SchemeKind.INDIRECT, [0, 0, 1, 1], 4, 4)
     assert e.tags.tolist() == [True]
     assert e.local_dicts.tolist() == [0, 1]
     assert e.payload.tolist() == [0, 0, 1, 1]
-    assert decode_indirect(e).tolist() == [0, 0, 1, 1]
+    assert support.decode(e).tolist() == [0, 0, 1, 1]
 
 
 def test_indirect_all_distinct_block_stays_direct():
     # W=4, b=4, k=4: 4*4 + 4*2 = 24 > 16
-    e = encode_indirect([5, 6, 7, 8], 4, 4)
+    e = support.encode(SchemeKind.INDIRECT, [5, 6, 7, 8], 4, 4)
     assert e.tags.tolist() == [False]
     assert e.payload.tolist() == [5, 6, 7, 8]
 
 
 def test_indirect_cost_tie_stays_direct():
     # W=4, b=8, k=4: 4*4 + 8*2 = 32 == 8*4, not a strict win
-    e = encode_indirect([0, 1, 2, 3, 0, 1, 2, 3], 8, 4)
+    e = support.encode(SchemeKind.INDIRECT, [0, 1, 2, 3, 0, 1, 2, 3], 8, 4)
     assert e.tags.tolist() == [False]
 
 
 def test_indirect_partial_tail_uses_actual_length():
     # tail [9, 9]: k=1, cost 1*4 + 2*1 = 6 < 2*4 = 8
-    e = encode_indirect([0, 1, 2, 3, 9, 9], 4, 4)
+    e = support.encode(SchemeKind.INDIRECT, [0, 1, 2, 3, 9, 9], 4, 4)
     assert e.tags.tolist() == [False, True]
     assert e.local_dicts.tolist() == [9]
-    assert decode_indirect(e).tolist() == [0, 1, 2, 3, 9, 9]
+    assert support.decode(e).tolist() == [0, 1, 2, 3, 9, 9]
 
 
 def test_indirect_local_dictionary_is_sorted_ascending():
@@ -154,23 +141,23 @@ def test_indirect_local_dictionary_is_sorted_ascending():
     for _ in range(40):
         n = int(rng.integers(1, 120))
         ids = [int(i) for i in rng.integers(0, 9, size=n)]
-        e = encode_indirect(ids, 8, id_width_bits(9))
+        e = support.encode(SchemeKind.INDIRECT, ids, 8, id_width_bits(9))
         for d, local_ids in support.indirect_blocks(e):
             if d is not None:
                 assert all(a < b for a, b in zip(d, d[1:]))
                 assert all(0 <= i < len(d) for i in local_ids)
-        assert decode_indirect(e).tolist() == ids
+        assert support.decode(e).tolist() == ids
 
 
 def test_affine_ascending_and_descending():
-    up = encode_affine([3, 4, 5, 6])
+    up = support.encode(SchemeKind.AFFINE, [3, 4, 5, 6])
     assert (up.start_id, up.step, up.length) == (3, 1, 4)
     assert type(up.start_id) is int
-    assert decode_affine(up).tolist() == [3, 4, 5, 6]
+    assert support.decode(up).tolist() == [3, 4, 5, 6]
 
-    down = encode_affine([6, 5, 4])
+    down = support.encode(SchemeKind.AFFINE, [6, 5, 4])
     assert (down.start_id, down.step, down.length) == (6, -1, 3)
-    assert decode_affine(down).tolist() == [6, 5, 4]
+    assert support.decode(down).tolist() == [6, 5, 4]
 
 
 def test_affine_rejects_broken_progressions():
@@ -183,7 +170,7 @@ def test_affine_rejects_broken_progressions():
         ([], "affine encoding needs at least 2 rows, got 0"),
     ]:
         with pytest.raises(NotAffineError) as info:
-            encode_affine(ids)
+            support.encode(SchemeKind.AFFINE, ids)
         assert str(info.value) == message
 
 
@@ -332,9 +319,9 @@ def test_scan_rle_fixture():
 
 
 def test_scan_affine_solves_arithmetically():
-    up = encode_affine([10, 11, 12, 13, 14])
+    up = support.encode(SchemeKind.AFFINE, [10, 11, 12, 13, 14])
     e = encode_array(ValueIdArray(ids=[10, 11, 12, 13, 14], id_width_bits=4), SchemeKind.AFFINE)
-    assert decode_affine(up).tolist() == decode_array(e)
+    assert support.decode(up).tolist() == decode_array(e)
     assert scan_id_range(e, IdInterval(lo=12, hi=13)) == [2, 3]
 
     down = encode_array(ValueIdArray(ids=[9, 8, 7], id_width_bits=4), SchemeKind.AFFINE)
@@ -459,4 +446,37 @@ def test_array_payloads_compare_by_value():
         for changed in ([2, 2, 5, 5, 5, 5, 1, 3, 300], [2, 2, 5, 5, 5, 5, 5, 2, 300], [2, 2, 5, 5, 5, 5, 1, 2]):
             other, _ = encoded_and_read_back(changed, scheme, block_size)
             assert other.payload != encoded.payload
-    assert encode_cluster(ids, 2) != encode_cluster(ids, 4)
+    assert support.encode(SchemeKind.CLUSTER, ids, 2) != support.encode(SchemeKind.CLUSTER, ids, 4)
+
+
+def test_encode_array_takes_an_int64_column_without_copying_it():
+    rng = np.random.default_rng(59)
+    n = 200_000
+    columns = [
+        np.minimum(rng.zipf(1.3, n), 300) - 1,  # shuffled and skewed
+        np.repeat(rng.integers(0, 300, n // 100), 100),  # runs of 100 rows
+    ]
+    for ids in columns:
+        array = ValueIdArray(ids=ids.astype(np.int64), id_width_bits=id_width_bits(300))
+        for scheme, block_size in ((SchemeKind.SPARSE, None), (SchemeKind.CLUSTER, 16)):
+            tracemalloc.start()
+            try:
+                encode_array(array, scheme, block_size)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * array.ids.nbytes, (scheme, peak / array.ids.nbytes)
+
+
+def test_payloads_do_not_share_the_callers_ids():
+    rng = np.random.default_rng(61)
+    plan_rng = random.Random(61)
+    for family in support.FAMILIES:
+        ids = support.family_column(rng, family, 40)
+        width = support.make_array(ids).id_width_bits
+        for scheme, block_size in support.scheme_plans(plan_rng, ids):
+            caller = np.array(ids, np.int64)
+            encoded = encode_array(ValueIdArray(ids=caller, id_width_bits=width), scheme, block_size)
+            caller[:] = caller[::-1] + 1
+            fresh = encode_array(support.make_array(ids), scheme, block_size)
+            assert encoded.payload == fresh.payload, (family, scheme)

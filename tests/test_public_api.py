@@ -34,3 +34,17 @@ def test_the_package_binds_exactly_its_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert bound == PUBLIC_NAMES
+
+
+ENCODINGS_NAMES = [
+    "SchemeKind", "RawEncoded", "PrefixEncoded", "RleEncoded", "SparseEncoded",
+    "ClusterEncoded", "IndirectEncoded", "AffineEncoded", "EncodedColumn", "Codec", "CODECS",
+    "COUNT_BITS", "check_block_size", "indirect_block_bits", "encode_array", "decode_array",
+    "encoded_size_bits", "encoded_size_breakdown", "scan_id_range",
+]
+
+
+def test_encodings_exports_one_door_into_the_layouts():
+    """Each layout is reached through ``encode_array`` and its codec; the
+    per-scheme encode and decode functions are the codecs' private slots."""
+    assert colcodec.encodings.__all__ == ENCODINGS_NAMES
