@@ -33,12 +33,14 @@ Codecs decode and scan to int arrays, and only ``decode_array`` and
 ``scan_id_range`` turn them into lists.
 
 ``scan_id_range`` finds the row positions whose ID falls in an interval
-without decoding the column: raw, sparse and cluster build one boolean row
-mask from the arrays they store (a flagged block's or the dominant ID's test
-is repeated over its rows); RLE and prefix test each run once and list only
-the matching runs' rows, so memory follows the rows returned, not the row
-count; affine positions are solved arithmetically; indirect tests its local
-dictionaries once and gathers that mask onto the tagged blocks' rows.
+without decoding the IDs: raw, sparse, cluster and indirect scan through
+their decode, with each stored ID replaced by its hit, so a flagged block's
+single ID, the dominant ID and each local dictionary entry are tested once
+and the decode places the hits on the rows; RLE and prefix test each run
+once and list only the matching runs' rows, so memory follows the rows
+returned, not the row count; affine positions are solved arithmetically.
+Both blocked layouts reach their rows through each block's row count
+(``_block_rows``): b, or the remainder for a short trailing block.
 
 File payloads, as (tag | u64 counts region | packed bit region):
 
@@ -65,6 +67,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
 import numpy as np
@@ -283,17 +286,36 @@ def _read_counts(br: _BitReader, count: int, what: str, zero: str) -> list[int]:
     return counts
 
 
+def _stored(ids: np.ndarray) -> np.ndarray:
+    """The identity map: a decode with it returns the IDs themselves."""
+    return ids
+
+
+def _block_rows(n: int, b: int) -> np.ndarray:
+    """Each b-row block's row count over n rows: b, and the remainder for a
+    short trailing block. Nothing is sized by b, which may be 2**31. n may
+    be any header row count whose per-block bits were read, even from 2**63
+    on: the tail is worked out in Python ints, and no count exceeds b."""
+    blocks = -(-n // b)
+    rows = np.full(blocks, b, np.int64)
+    if blocks:
+        rows[-1] = n - (blocks - 1) * b
+    return rows
+
+
+def _scan_through(decode: Callable, p: Any, lo: int | None, hi: int | None) -> np.ndarray:
+    """A scan as a decode whose map swaps each stored ID for its hit: the
+    interval is tested once per stored ID, never per decoded row."""
+    return np.flatnonzero(decode(p, partial(_hits, lo=lo, hi=hi)))
+
+
 def _encode_raw(ids: np.ndarray, block_size: Any, width: int) -> RawEncoded:
     _require_rows(ids)
     return RawEncoded(ids=ids.copy())
 
 
-def _decode_raw(encoded: RawEncoded) -> np.ndarray:
-    return encoded.ids
-
-
-def _scan_raw(p: RawEncoded, lo: int | None, hi: int | None) -> np.ndarray:
-    return np.flatnonzero(_hits(p.ids, lo, hi))
+def _decode_raw(encoded: RawEncoded, each: Callable = _stored) -> np.ndarray:
+    return each(encoded.ids)
 
 
 def _pack_raw(p: RawEncoded, w: int, out: FieldSink) -> None:
@@ -405,17 +427,12 @@ def _encode_sparse(ids: np.ndarray, block_size: Any, width: int) -> SparseEncode
     return SparseEncoded(dominant_id=dominant, positions=present, residual=ids[~present])
 
 
-def _decode_sparse(encoded: SparseEncoded) -> np.ndarray:
+def _decode_sparse(encoded: SparseEncoded, each: Callable = _stored) -> np.ndarray:
     present = encoded.positions
-    out = np.full(len(present), encoded.dominant_id, encoded.residual.dtype)
-    out[~present] = encoded.residual
+    residual = each(encoded.residual)
+    out = np.full(len(present), each(np.asarray(encoded.dominant_id)), residual.dtype)
+    out[~present] = residual
     return out
-
-
-def _scan_sparse(p: SparseEncoded, lo: int | None, hi: int | None) -> np.ndarray:
-    mask = np.full(len(p.positions), _hits(np.asarray(p.dominant_id), lo, hi))
-    mask[~p.positions] = _hits(p.residual, lo, hi)
-    return np.flatnonzero(mask)
 
 
 def _pack_sparse(p: SparseEncoded, w: int, out: FieldSink) -> None:
@@ -451,34 +468,18 @@ def _encode_cluster(ids: np.ndarray, block_size: int, width: int) -> ClusterEnco
         block_size=block_size,
         flags=flags,
         singles=blocks[flags[:full], 0],
-        uncompressed=ids[~_flagged_rows(flags, block_size, n)],
+        uncompressed=ids[~np.repeat(flags, _block_rows(n, block_size))],
         length=n,
     )
 
 
-def _flagged_rows(flags: np.ndarray, b: int, n: int) -> np.ndarray:
-    """One entry per row: whether its block is flagged. Only full blocks are
-    flagged, so nothing is sized by the block size, which may be 2**31."""
-    rows = np.zeros(n, bool)
-    full = n // b
-    rows[: full * b] = np.repeat(flags[:full], b)
-    return rows
-
-
-def _decode_cluster(encoded: ClusterEncoded) -> np.ndarray:
-    flagged = _flagged_rows(encoded.flags, encoded.block_size, encoded.length)
-    out = np.empty(encoded.length, encoded.uncompressed.dtype)
-    out[flagged] = np.repeat(encoded.singles, encoded.block_size)
-    out[~flagged] = encoded.uncompressed
+def _decode_cluster(encoded: ClusterEncoded, each: Callable = _stored) -> np.ndarray:
+    flagged = np.repeat(encoded.flags, _block_rows(encoded.length, encoded.block_size))
+    rest = each(encoded.uncompressed)
+    out = np.empty(encoded.length, rest.dtype)
+    out[flagged] = np.repeat(each(encoded.singles), encoded.block_size)  # flagged blocks are full
+    out[~flagged] = rest
     return out
-
-
-def _scan_cluster(p: ClusterEncoded, lo: int | None, hi: int | None) -> np.ndarray:
-    flagged = _flagged_rows(p.flags, p.block_size, p.length)
-    mask = np.empty(p.length, bool)
-    mask[flagged] = np.repeat(_hits(p.singles, lo, hi), p.block_size)
-    mask[~flagged] = _hits(p.uncompressed, lo, hi)
-    return np.flatnonzero(mask)
 
 
 def _pack_cluster(p: ClusterEncoded, w: int, out: FieldSink) -> None:
@@ -537,7 +538,7 @@ def _encode_indirect(ids: np.ndarray, block_size: int, width: int) -> IndirectEn
     n = len(ids)
     b = min(block_size, n)  # a block as long as the column is the only one
     rows = np.append(ids, np.full(-n % b, ids[-1])).reshape(-1, b)
-    sizes = np.minimum(b, n - b * np.arange(len(rows)))
+    sizes = _block_rows(n, b)
     order = np.argsort(rows, axis=1)
     ranked = np.take_along_axis(rows, order, axis=1)
     starts = np.ones(rows.shape, dtype=bool)
@@ -556,28 +557,16 @@ def _encode_indirect(ids: np.ndarray, block_size: int, width: int) -> IndirectEn
     )
 
 
-def _dict_starts(p: IndirectEncoded) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: whether its block is tagged, and where the block's local
-    dictionary starts in ``local_dicts`` (int64, whatever the payload's dtype)."""
-    tags = p.tags
-    starts = np.zeros(len(tags), np.int64)
-    starts[tags] = np.cumsum(p.dict_sizes) - p.dict_sizes
-    block = np.arange(p.length) // p.block_size
-    return tags[block], starts[block]
-
-
-def _decode_indirect(encoded: IndirectEncoded) -> np.ndarray:
-    tagged, starts = _dict_starts(encoded)
-    out = encoded.payload.copy()
-    out[tagged] = encoded.local_dicts[starts[tagged] + out[tagged]]
+def _decode_indirect(encoded: IndirectEncoded, each: Callable = _stored) -> np.ndarray:
+    rows = _block_rows(encoded.length, encoded.block_size)
+    tags, sizes = encoded.tags, encoded.dict_sizes
+    tagged = np.repeat(tags, rows)
+    # Where each tagged row's dictionary starts in ``local_dicts``: int64, as
+    # the sizes are, so adding a narrow payload's local IDs cannot wrap.
+    starts = np.repeat(np.cumsum(sizes) - sizes, rows[tags])
+    out = each(encoded.payload).copy()  # the identity map hands back the payload itself
+    out[tagged] = each(encoded.local_dicts)[starts + encoded.payload[tagged]]
     return out
-
-
-def _scan_indirect(p: IndirectEncoded, lo: int | None, hi: int | None) -> np.ndarray:
-    tagged, starts = _dict_starts(p)
-    mask = _hits(p.payload, lo, hi)
-    mask[tagged] = _hits(p.local_dicts, lo, hi)[starts[tagged] + p.payload[tagged]]
-    return np.flatnonzero(mask)
 
 
 def _pack_indirect(p: IndirectEncoded, w: int, out: FieldSink) -> None:
@@ -614,8 +603,7 @@ def _unpack_indirect(br: _BitReader, n: int, b: int, dict_count: int, w: int) ->
     # local dictionary (k ascending IDs at w bits), then one local ID below k
     # per row at the local width; an untagged block holds its IDs, then
     # nothing. Blocks from the first with an impossible k on are not read.
-    rows = np.full(num_blocks, b, np.int64)
-    rows[-1] = n - (num_blocks - 1) * b
+    rows = _block_rows(n, b)
     k_read = np.array(sizes, np.uint64)
     bad = _first((k_read > rows[tags].astype(np.uint64)) | (k_read > dict_count))
     oversized = None
@@ -749,8 +737,11 @@ class Codec:
     ``encode`` takes (ids, block size, ID width) from ``encode_array`` only:
     the IDs as an int64 array it must not keep or modify, and for a blocked
     scheme a block size already checked. ``decode`` returns the IDs in the
-    dtype the payload holds them in, and ``scan``, given closed ID bounds
-    (None unbounded), the ascending row positions as an int array.
+    dtype the payload holds them in. Raw, sparse, cluster and indirect decode
+    take an optional map, applied to each stored ID array before it is placed
+    on the rows (the identity by default), and their ``scan`` is that decode
+    with each stored ID replaced by its hit. ``scan``, given closed ID bounds
+    (None unbounded), returns the ascending row positions as an int array.
     ``pack`` takes the payload, the ID width and a field sink, and names
     every field it writes, even an empty one: ``u64s(name, values)`` for
     the counts region, ``bits(name, values, width)`` for the packed region.
@@ -765,7 +756,7 @@ class Codec:
     blocked: bool  # takes a block size, stored in the file header
     payload_type: type
     encode: Callable[[np.ndarray, Any, int], Any]
-    decode: Callable[[Any], np.ndarray]
+    decode: Callable[..., np.ndarray]
     scan: Callable[[Any, int | None, int | None], np.ndarray]
     pack: Callable[[Any, int, FieldSink], None]
     unpack: Callable[[_BitReader, int, int, int, int], Any]
@@ -775,17 +766,21 @@ CODECS: dict[SchemeKind, Codec] = {
     codec.kind: codec
     for codec in (
         Codec(SchemeKind.RAW, 0, False, RawEncoded,
-              _encode_raw, _decode_raw, _scan_raw, _pack_raw, _unpack_raw),
+              _encode_raw, _decode_raw, partial(_scan_through, _decode_raw),
+              _pack_raw, _unpack_raw),
         Codec(SchemeKind.PREFIX, 1, False, PrefixEncoded,
               _encode_prefix, _decode_prefix, _scan_prefix, _pack_prefix, _unpack_prefix),
         Codec(SchemeKind.RLE, 2, False, RleEncoded,
               _encode_rle, _decode_rle, _scan_rle, _pack_rle, _unpack_rle),
         Codec(SchemeKind.SPARSE, 3, False, SparseEncoded,
-              _encode_sparse, _decode_sparse, _scan_sparse, _pack_sparse, _unpack_sparse),
+              _encode_sparse, _decode_sparse, partial(_scan_through, _decode_sparse),
+              _pack_sparse, _unpack_sparse),
         Codec(SchemeKind.CLUSTER, 4, True, ClusterEncoded,
-              _encode_cluster, _decode_cluster, _scan_cluster, _pack_cluster, _unpack_cluster),
+              _encode_cluster, _decode_cluster, partial(_scan_through, _decode_cluster),
+              _pack_cluster, _unpack_cluster),
         Codec(SchemeKind.INDIRECT, 5, True, IndirectEncoded,
-              _encode_indirect, _decode_indirect, _scan_indirect, _pack_indirect, _unpack_indirect),
+              _encode_indirect, _decode_indirect, partial(_scan_through, _decode_indirect),
+              _pack_indirect, _unpack_indirect),
         Codec(SchemeKind.AFFINE, 6, False, AffineEncoded,
               _encode_affine, _decode_affine, _scan_affine, _pack_affine, _unpack_affine),
     )
@@ -843,9 +838,8 @@ def encoded_size_bits(encoded: EncodedColumn) -> int:
 def scan_id_range(encoded: EncodedColumn, interval: IdInterval) -> list[int]:
     """Row positions whose ID lies in the interval, ascending.
 
-    Does not materialize the full array: runs, single-valued blocks and the
-    affine form are resolved wholesale, indirect rows through their blocks'
-    local dictionaries.
+    Does not decode the IDs: runs, single-valued blocks and local dictionary
+    entries are tested once each, and the affine form is solved arithmetically.
     """
     norm = interval.normalize()
     if norm is None:

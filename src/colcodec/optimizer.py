@@ -48,7 +48,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dictionary import run_lengths
-from .encodings import COUNT_BITS, check_block_size, indirect_block_bits
+from .encodings import COUNT_BITS, _block_rows, check_block_size, indirect_block_bits
 from .errors import EmptyColumnError
 
 __all__ = [
@@ -255,8 +255,7 @@ def _indirect_bits(n: int, b: int, block: np.ndarray, width: int) -> int:
     """encoded_size_bits of indirect at b: each block's bits by the encoder's
     rule, the indirect-block count, and one tag bit per block."""
     k = np.bincount(block)  # every block holds a segment, so one count per block
-    rows = np.minimum(b, n - b * np.arange(len(k)))  # the partial tail, if any, is short
-    return int(indirect_block_bits(k, rows, width)[1].sum()) + COUNT_BITS + len(k)
+    return int(indirect_block_bits(k, _block_rows(n, b), width)[1].sum()) + COUNT_BITS + len(k)
 
 
 def mean_block_entropy(ids: Sequence[int], block_size: int) -> EntropyObjective:

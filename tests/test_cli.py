@@ -334,18 +334,21 @@ def test_decompress_rejects_truncated_files(capsys, tmp_path):
 
 
 def test_verify_passes_on_a_healthy_column(capsys, tmp_path):
-    csv = write_csv(tmp_path, ["m", "m", "k", "m", "m", "m", "z", "k"])
-    code, out, err = run(capsys, ["verify", csv])
-    assert code == 0 and err == ""
-    assert "verification passed" in out
-    for name in ("round-trip raw", "size law rle", "scan equivalence sparse"):
-        assert any(line.startswith("ok") and name in line for line in out.splitlines())
-    assert "clustered blocks b=2" in out
-    assert "cluster optimizer equals oracle argmax" in out
-    assert "entropy optimizer matches oracle minimum" in out
-    assert "indirect size b=2" in out
-    assert "indirect optimizer equals oracle argmin" in out
-    assert "FAIL" not in out
+    short = ["m", "m", "k", "m", "m", "m", "z", "k"]
+    # Runs of 24 rows over 1,025 rows: every candidate b up to 1,024 leaves a one-row tail.
+    runs = [f"r{i // 24 % 9}" for i in range(1025)]
+    for name, values in (("short.csv", short), ("runs.csv", runs)):
+        code, out, err = run(capsys, ["verify", write_csv(tmp_path, values, name)])
+        assert code == 0 and err == ""
+        assert "verification passed" in out
+        for check in ("round-trip raw", "size law rle", "scan equivalence sparse"):
+            assert any(line.startswith("ok") and check in line for line in out.splitlines())
+        assert "clustered blocks b=2" in out
+        assert "cluster optimizer equals oracle argmax" in out
+        assert "entropy optimizer matches oracle minimum" in out
+        assert "indirect size b=2" in out
+        assert "indirect optimizer equals oracle argmin" in out
+        assert "FAIL" not in out
 
 
 def test_verify_handles_single_row_columns(capsys, tmp_path):

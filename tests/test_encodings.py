@@ -409,7 +409,8 @@ def test_mask_scans_and_decoders_match_the_literal_loops():
         dict_count = max(ids) + 1
         bounds = [None, -1, 0, ids[len(ids) // 2], dict_count - 1, dict_count, 2**64]
         plans = [(kind, None) for kind in support.LITERAL_SCANS if kind not in blocked]
-        plans += [(kind, b) for kind in blocked for b in (2, 4, 16)]  # trailing partial blocks
+        # Trailing partial blocks; at 64 a short column is one short block, and 2**31 is the largest b.
+        plans += [(kind, b) for kind in blocked for b in (2, 4, 16, 64, 2**31)]
         for scheme, block_size in plans:
             for e in encoded_and_read_back(ids, scheme, block_size):
                 dtypes.update(
