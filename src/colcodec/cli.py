@@ -21,6 +21,7 @@ import io
 import json
 import random
 import sys
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -282,15 +283,13 @@ def cmd_decompress(args) -> int:
     del encoded, ids  # writing needs only the values: let the payload go first
     # Cells are re-quoted minimally, so byte-level quoting may differ from the
     # original file even though every cell value is identical. Each distinct
-    # value's line is rendered once, by the writer a row-by-row write would use.
-    rendered = io.StringIO()
-    writer = csv.writer(rendered, lineterminator="\n")
-    line_of = {}
-    for value in dictionary.values:
-        writer.writerow([value])
-        line_of[value] = rendered.getvalue()
-        rendered.seek(0)
-        rendered.truncate()
+    # value's line is rendered once, by the writer a row-by-row write would use;
+    # the writer makes one write call per row, so each call appends one line.
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
+        zip(dictionary.values)
+    )
+    line_of = dict(zip(dictionary.values, lines))
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         for start in range(0, len(values), _CSV_ROWS_PER_WRITE):
             f.write("".join(map(line_of.__getitem__, values[start : start + _CSV_ROWS_PER_WRITE])))
@@ -441,10 +440,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ColcodecError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,9 @@ point order, so plain ``str`` comparison implements it.
 
 Because the dictionary is sorted, value comparisons translate into integer
 interval tests on the IDs: ``name > "James"`` becomes ``id > id("James")``.
+Every operator follows one rule: two bisections of the sorted values give the
+qualifying positions start through stop - 1, and the interval is
+``start - 1 < id <= stop - 1``, unbounded at the dictionary's edge.
 """
 
 from __future__ import annotations
@@ -120,6 +123,19 @@ def decode_column(dictionary: Dictionary, array: ValueIdArray) -> list[str]:
     return np.array(dictionary.values, dtype=object)[ids].tolist() if len(ids) else []
 
 
+# Each operator's qualifying positions start ... stop - 1, as the rule for
+# each end: a bisection of the operand (of ``high`` for between's end), or
+# None for the dictionary's own start or end.
+_POSITIONS = {
+    "=": (bisect_left, bisect_right),
+    "<": (None, bisect_left),
+    "<=": (None, bisect_right),
+    ">": (bisect_right, None),
+    ">=": (bisect_left, None),
+    "between": (bisect_left, bisect_right),
+}
+
+
 def predicate_to_id_range(
     dictionary: Dictionary, op: str, value: str, high: str | None = None
 ) -> IdInterval:
@@ -128,40 +144,26 @@ def predicate_to_id_range(
     ``op`` is one of ``=  <  <=  >  >=  between``; ``between`` is inclusive on
     both ends and takes its upper operand in ``high``. The operand need not be
     present in the dictionary. The result contains exactly the IDs of
-    dictionary values satisfying the predicate.
+    dictionary values satisfying the predicate: the positions start through
+    stop - 1 that two bisections give, as ``id > start - 1`` and
+    ``id <= stop - 1``, with no bound at the dictionary's edge and the empty
+    interval when start >= stop.
     """
+    if op not in _POSITIONS:
+        raise ValueError(f"unknown predicate operator: {op!r}")
+    if op == "between" and high is None:
+        raise ValueError("between requires an upper operand")
     vals = dictionary.values
-    if op == "=":
-        i = bisect_left(vals, value)
-        if i < len(vals) and vals[i] == value:
-            return IdInterval(lo=i, hi=i)
+    start_of, stop_of = _POSITIONS[op]
+    start = 0 if start_of is None else start_of(vals, value)
+    stop = len(vals) if stop_of is None else stop_of(vals, high if op == "between" else value)
+    if start >= stop:
         return IdInterval.empty()
-    if op == "<":
-        j = bisect_left(vals, value)  # IDs < j qualify
-        return IdInterval(hi=j, hi_inclusive=False) if j > 0 else IdInterval.empty()
-    if op == "<=":
-        j = bisect_right(vals, value)
-        return IdInterval(hi=j, hi_inclusive=False) if j > 0 else IdInterval.empty()
-    if op == ">":
-        # IDs strictly above the greatest value <= operand.
-        j = bisect_right(vals, value)
-        if j >= len(vals):
-            return IdInterval.empty()
-        if j == 0:
-            return IdInterval()
-        return IdInterval(lo=j - 1, lo_inclusive=False)
-    if op == ">=":
-        j = bisect_left(vals, value)
-        return IdInterval(lo=j) if j < len(vals) else IdInterval.empty()
-    if op == "between":
-        if high is None:
-            raise ValueError("between requires an upper operand")
-        lo = bisect_left(vals, value)
-        hi = bisect_right(vals, high)
-        if lo >= hi:
-            return IdInterval.empty()
-        return IdInterval(lo=lo, hi=hi, hi_inclusive=False)
-    raise ValueError(f"unknown predicate operator: {op!r}")
+    return IdInterval(
+        lo=start - 1 if start > 0 else None,
+        lo_inclusive=False,
+        hi=stop - 1 if stop < len(vals) else None,
+    )
 
 
 def run_lengths(ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -698,14 +698,12 @@ def _decode_affine(encoded: AffineEncoded) -> np.ndarray:
 
 
 def _scan_affine(p: AffineEncoded, lo: int | None, hi: int | None) -> np.ndarray:
-    n = p.length
-    s = p.start_id
-    if p.step == 1:  # id at row i is s + i
-        row_lo = 0 if lo is None else max(0, lo - s)
-        row_hi = n - 1 if hi is None else min(n - 1, hi - s)
-    else:  # id at row i is s - i
-        row_lo = 0 if hi is None else max(0, s - hi)
-        row_hi = n - 1 if lo is None else min(n - 1, s - lo)
+    # The id at row i is start + step * i, so row (id - start) * step holds id:
+    # the bound that rows reach first gives the first hit, the other the last.
+    n, start, step = p.length, p.start_id, p.step
+    first, last = (lo, hi) if step == 1 else (hi, lo)
+    row_lo = 0 if first is None else max(0, (first - start) * step)
+    row_hi = n - 1 if last is None else min(n - 1, (last - start) * step)
     return _row_range(row_lo, row_hi + 1)
 
 

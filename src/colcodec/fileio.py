@@ -232,10 +232,8 @@ def write_encoded(sink: BinaryIO, dictionary: Dictionary, encoded: EncodedColumn
     buf += _HEADER.pack(
         MAGIC, VERSION, codec.tag, encoded.length, block_size, len(dictionary.values)
     )
-    for value in dictionary.values:
-        raw = value.encode("utf-8")
-        buf += struct.pack("<I", len(raw))
-        buf += raw
+    raws = (value.encode("utf-8") for value in dictionary.values)
+    buf += b"".join(len(raw).to_bytes(4, "little") + raw for raw in raws)
     out = _BitWriter()
     codec.pack(encoded.payload, encoded.id_width_bits, out)
     buf += out.getvalue()

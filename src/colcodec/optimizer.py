@@ -289,17 +289,14 @@ def best_entropy(sweep: Sequence[EntropyObjective]) -> EntropyObjective:
 
 
 def optimal_indirect_block_size(
-    ids: Sequence[int],
-    *,
-    sqrt_bound: bool = False,
-    counter: VisitCounter | None = None,
+    ids: Sequence[int], *, sqrt_bound: bool = False
 ) -> EntropyObjective:
     """argmin of the mean block entropy; the smallest candidate wins ties.
 
     This is the paper's objective, reported by ``analyze``; ``compress``
     takes indirect's block size from ``indirect_size_sweep`` instead.
     """
-    return best_entropy(entropy_sweep(ids, sqrt_bound=sqrt_bound, counter=counter))
+    return best_entropy(entropy_sweep(ids, sqrt_bound=sqrt_bound))
 
 
 def indirect_size_sweep(

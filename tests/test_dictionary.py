@@ -12,12 +12,15 @@ from colcodec import (
     EmptyColumnError,
     IdInterval,
     IdOutOfRangeError,
+    SchemeKind,
     ValueIdArray,
     build_dictionary,
     decode_column,
+    encode_array,
     encode_column,
     id_width_bits,
     predicate_to_id_range,
+    scan_id_range,
     to_runs,
 )
 
@@ -166,6 +169,41 @@ def test_predicates_match_string_filter_seeded():
         b = rng.choice(pool) if op == "between" else None
         interval = predicate_to_id_range(d, op, a, b)
         assert members(interval, len(values)) == predicate_oracle(values, op, a, b)
+
+
+def test_predicate_errors_come_before_any_bisection():
+    d = build_dictionary(["a", "b"])
+    with pytest.raises(ValueError, match="^between requires an upper operand$"):
+        predicate_to_id_range(d, "between", "a")
+    with pytest.raises(ValueError, match="^unknown predicate operator: '!='$"):
+        predicate_to_id_range(d, "!=", None)  # None cannot be bisected among strings
+
+
+def test_value_predicates_scan_to_the_string_filter_on_every_layout():
+    rng = random.Random(31)
+    runs = []
+    for value in ("v07", "v02", "v05", "v02", "v09", "v05"):
+        runs += [value] * rng.randint(1, 40)
+    distinct = [f"v{i:02d}" for i in range(0, 60, 3)]  # sequential IDs: affine applies
+    blocked = (SchemeKind.CLUSTER, SchemeKind.INDIRECT)
+    plans = [(kind, None) for kind in SchemeKind if kind not in blocked]
+    plans += [(kind, b) for kind in blocked for b in (2, 4, 64)]
+    for column in (runs, distinct, distinct[::-1]):
+        dictionary, array = encode_column(column)
+        first, last = dictionary.values[0], dictionary.values[-1]
+        absent = first + "~"  # between the first two values
+        assert first < absent < dictionary.values[1]
+        operands = ["a", first, last, absent, "z"]
+        predicates = [(op, a, None) for op in ("=", "<", "<=", ">", ">=") for a in operands]
+        predicates += [("between", a, b) for a in operands for b in operands]
+        for scheme, block_size in plans:
+            if scheme is SchemeKind.AFFINE and column is runs:
+                continue
+            encoded = encode_array(array, scheme, block_size)
+            for op, a, b in predicates:
+                rows = scan_id_range(encoded, predicate_to_id_range(dictionary, op, a, b))
+                want = sorted(predicate_oracle(column, op, a, b))
+                assert rows == want, (scheme, block_size, op, a, b)
 
 
 def test_canonical_empty_interval():
