@@ -278,22 +278,22 @@ def cmd_compress(args) -> int:
 def cmd_decompress(args) -> int:
     with open(args.file, "rb") as f:
         dictionary, encoded = fileio.read_encoded(f)
-    ids = encoded.codec.decode(encoded.payload)
-    values = decode_column(dictionary, ValueIdArray(ids=ids, id_width_bits=encoded.id_width_bits))
-    del encoded, ids  # writing needs only the values: let the payload go first
+    array = ValueIdArray(ids=encoded.codec.decode(encoded.payload), id_width_bits=encoded.id_width_bits)
+    del encoded  # the rows need only the IDs: let the payload go first
     # Cells are re-quoted minimally, so byte-level quoting may differ from the
     # original file even though every cell value is identical. Each distinct
     # value's line is rendered once, by the writer a row-by-row write would use;
     # the writer makes one write call per row, so each call appends one line.
+    # The decoded IDs then index those lines, as they would index the values.
     lines: list[str] = []
     csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
         zip(dictionary.values)
     )
-    line_of = dict(zip(dictionary.values, lines))
+    rows = decode_column(Dictionary(values=lines, width_bits=dictionary.width_bits), array)
     with open(args.out, "w", encoding="utf-8", newline="") as f:
-        for start in range(0, len(values), _CSV_ROWS_PER_WRITE):
-            f.write("".join(map(line_of.__getitem__, values[start : start + _CSV_ROWS_PER_WRITE])))
-    print(f"wrote {args.out} ({len(values)} rows)")
+        for start in range(0, len(rows), _CSV_ROWS_PER_WRITE):
+            f.write("".join(rows[start : start + _CSV_ROWS_PER_WRITE]))
+    print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 

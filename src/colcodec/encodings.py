@@ -39,8 +39,8 @@ single ID, the dominant ID and each local dictionary entry are tested once
 and the decode places the hits on the rows; RLE and prefix test each run
 once and list only the matching runs' rows, so memory follows the rows
 returned, not the row count; affine positions are solved arithmetically.
-Both blocked layouts reach their rows through each block's row count
-(``_block_rows``): b, or the remainder for a short trailing block.
+Both blocked layouts put each per-block entry onto its rows by one scalar
+repeat of b, capped at n, cut at n: only the trailing block can be short.
 
 File payloads, as (tag | u64 counts region | packed bit region):
 
@@ -292,10 +292,10 @@ def _stored(ids: np.ndarray) -> np.ndarray:
 
 
 def _block_rows(n: int, b: int) -> np.ndarray:
-    """Each b-row block's row count over n rows: b, and the remainder for a
-    short trailing block. Nothing is sized by b, which may be 2**31. n may
-    be any header row count whose per-block bits were read, even from 2**63
-    on: the tail is worked out in Python ints, and no count exceeds b."""
+    """Each b-row block's row count over n rows (b, or a short tail's rest)
+    for ``_encode_indirect``, ``_unpack_indirect`` and ``optimizer._indirect_bits``.
+    Nothing is sized by b (up to 2**31); n may be any read header row count,
+    even from 2**63 on: the tail is in Python ints, and no count exceeds b."""
     blocks = -(-n // b)
     rows = np.full(blocks, b, np.int64)
     if blocks:
@@ -315,7 +315,9 @@ def _encode_raw(ids: np.ndarray, block_size: Any, width: int) -> RawEncoded:
 
 
 def _decode_raw(encoded: RawEncoded, each: Callable = _stored) -> np.ndarray:
-    return each(encoded.ids)
+    out = each(encoded.ids).view()  # read-only, so no caller writes into the payload
+    out.flags.writeable = False
+    return out
 
 
 def _pack_raw(p: RawEncoded, w: int, out: FieldSink) -> None:
@@ -468,13 +470,13 @@ def _encode_cluster(ids: np.ndarray, block_size: int, width: int) -> ClusterEnco
         block_size=block_size,
         flags=flags,
         singles=blocks[flags[:full], 0],
-        uncompressed=ids[~np.repeat(flags, _block_rows(n, block_size))],
+        uncompressed=ids[~np.repeat(flags, min(block_size, n))[:n]],
         length=n,
     )
 
 
 def _decode_cluster(encoded: ClusterEncoded, each: Callable = _stored) -> np.ndarray:
-    flagged = np.repeat(encoded.flags, _block_rows(encoded.length, encoded.block_size))
+    flagged = np.repeat(encoded.flags, min(encoded.block_size, encoded.length))[: encoded.length]
     rest = each(encoded.uncompressed)
     out = np.empty(encoded.length, rest.dtype)
     out[flagged] = np.repeat(each(encoded.singles), encoded.block_size)  # flagged blocks are full
@@ -558,14 +560,14 @@ def _encode_indirect(ids: np.ndarray, block_size: int, width: int) -> IndirectEn
 
 
 def _decode_indirect(encoded: IndirectEncoded, each: Callable = _stored) -> np.ndarray:
-    rows = _block_rows(encoded.length, encoded.block_size)
-    tags, sizes = encoded.tags, encoded.dict_sizes
-    tagged = np.repeat(tags, rows)
-    # Where each tagged row's dictionary starts in ``local_dicts``: int64, as
-    # the sizes are, so adding a narrow payload's local IDs cannot wrap.
-    starts = np.repeat(np.cumsum(sizes) - sizes, rows[tags])
+    n, b, sizes = encoded.length, encoded.block_size, encoded.dict_sizes
+    tagged = np.repeat(encoded.tags, min(b, n))[:n]
+    # Each tagged row's dictionary start in ``local_dicts`` (a tagged short
+    # block is the last tagged one), int64 so adding local IDs cannot wrap.
+    starts = np.repeat(np.cumsum(sizes) - sizes, min(b, n))[: np.count_nonzero(tagged)]
+    starts += encoded.payload[tagged]
     out = each(encoded.payload).copy()  # the identity map hands back the payload itself
-    out[tagged] = each(encoded.local_dicts)[starts + encoded.payload[tagged]]
+    out[tagged] = each(encoded.local_dicts)[starts]
     return out
 
 

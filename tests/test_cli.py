@@ -20,7 +20,15 @@ import colcodec.encodings
 import colcodec.heuristics
 import colcodec.optimizer
 import support
-from colcodec import SchemeKind, encode_array, encode_column, read_csv_column, write_encoded
+from colcodec import (
+    SchemeKind,
+    decode_array,
+    encode_array,
+    encode_column,
+    read_csv_column,
+    read_encoded,
+    write_encoded,
+)
 from colcodec.cli import main
 
 
@@ -320,6 +328,52 @@ def test_decompress_writes_what_writerows_writes(capsys, tmp_path):
     want = io.StringIO()
     csv.writer(want, lineterminator="\n").writerows([cell] for cell in rows)
     assert back.read_bytes() == want.getvalue().encode("utf-8")
+
+
+def test_decompress_writes_what_writerows_writes_on_every_layout(capsys, tmp_path):
+    cells = ['say "hi"', "a,b", "cr\rcell", "lf\ncell", "crlf\r\ncell", " lead", "trail ",
+             "", "plain", "naïve ü €", "日本語", '"', ","]
+    rng = np.random.default_rng(21)
+    runs = [(cells[i], int(k)) for i, k in zip(rng.integers(0, len(cells), 80), rng.integers(1, 150, 80))]
+    rows = [cell for cell, k in runs for _ in range(k)][:4001]  # a short tail at b = 2, 16 and 64
+    assert len(rows) == 4001
+    blocked = (SchemeKind.CLUSTER, SchemeKind.INDIRECT)
+    plans = [(rows, kind, None) for kind in SchemeKind if kind not in blocked and kind is not SchemeKind.AFFINE]
+    plans += [(rows, kind, b) for kind in blocked for b in (2, 16, 64)]
+    plans += [(sorted(cells), SchemeKind.AFFINE, None)]  # one row per value, in order: sequential IDs
+    for column_rows, scheme, block_size in plans:
+        dictionary, array = encode_column(column_rows)
+        column = tmp_path / "col.bcc1"
+        with open(column, "wb") as f:
+            write_encoded(f, dictionary, encode_array(array, scheme, block_size))
+        back = tmp_path / "back.csv"
+        assert run(capsys, ["decompress", str(column), "--out", str(back)])[0] == 0
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows([cell] for cell in column_rows)
+        assert back.read_bytes() == want.getvalue().encode("utf-8"), (scheme, block_size)
+
+
+def test_decompress_decodes_once_through_decode_column(capsys, tmp_path, monkeypatch):
+    """``bench/run.py --trace 1`` times decompress's dictionary step by
+    patching ``cli.decode_column``, so decompress calls it once, with the
+    decoded IDs."""
+    column = tmp_path / "col.bcc1"
+    run(capsys, ["compress", write_csv(tmp_path, CLUSTERED_VALUES), "--out", str(column)])
+    arrays = []
+    decode = colcodec.cli.decode_column
+
+    def spied(dictionary, array):
+        arrays.append(array)
+        return decode(dictionary, array)
+
+    monkeypatch.setattr(colcodec.cli, "decode_column", spied)
+    assert run(capsys, ["decompress", str(column), "--out", str(tmp_path / "back.csv")])[0] == 0
+    (array,) = arrays
+    with open(column, "rb") as f:
+        _, encoded = read_encoded(f)
+    assert isinstance(array.ids, np.ndarray) and array.ids.dtype.kind in "iu"
+    assert array.ids.tolist() == decode_array(encoded)
+    assert array.id_width_bits == encoded.id_width_bits
 
 
 def test_decompress_rejects_truncated_files(capsys, tmp_path):

@@ -436,6 +436,58 @@ def test_mask_scans_and_decoders_match_the_literal_loops():
     assert {frozenset({False}), frozenset({True}), frozenset({False, True})} <= tag_mixes
 
 
+def test_a_decode_shares_no_writable_memory_with_its_payload():
+    """Raw's decode is a read-only view of its payload; every other decode is
+    new memory, so writing into it leaves the column as it was."""
+    rng = np.random.default_rng(21)
+    ids = [3] * 32 + rng.integers(0, 5, 37).tolist()  # flagged and tagged blocks, then a short tail
+    plans = [(kind, None) for kind in SchemeKind if kind not in (SchemeKind.CLUSTER, SchemeKind.INDIRECT)]
+    plans += [(kind, b) for kind in (SchemeKind.CLUSTER, SchemeKind.INDIRECT) for b in (2, 16)]
+    for scheme, block_size in plans:
+        column = list(range(len(ids))) if scheme is SchemeKind.AFFINE else ids
+        for e in encoded_and_read_back(column, scheme, block_size):
+            decoded = e.codec.decode(e.payload)
+            if decoded.flags.writeable:
+                stored = [v for v in vars(e.payload).values() if isinstance(v, np.ndarray)]
+                assert not any(np.shares_memory(decoded, v) for v in stored), scheme
+                decoded += 1
+            else:
+                with pytest.raises(ValueError, match="read-only"):
+                    decoded += 1
+            assert int_list(e.codec.decode(e.payload)) == column, scheme
+
+
+def test_short_tails_decode_and_scan_as_the_literal_block_walks():
+    """Only the trailing block can be short. At b = 4 and 64 it is tagged
+    local; at 2 it is one row, which no local dictionary pays for (W + 1 is
+    not below W). At 512 and 16 each column is one block shorter than b."""
+    # W = 9: single-valued runs of 64 rows pay at every b, and 64 distinct IDs pay at none.
+    ids = [5] * 64 + list(range(100, 164)) + [200] * 64 + [299] * 64 + [42] * 43
+    short = [4] * 7 + [9] * 3
+    tail_tagged = {2: False, 4: True, 64: True, 512: False, 16: True}
+    plans = [(ids, kind, b) for kind in (SchemeKind.CLUSTER, SchemeKind.INDIRECT) for b in (2, 4, 64, 512)]
+    plans += [(short, kind, 16) for kind in (SchemeKind.CLUSTER, SchemeKind.INDIRECT)]
+    bounds = [None, 0, 5, 42, 100, 163, 200, 299]
+    for column, scheme, block_size in plans:
+        assert len(column) % block_size
+        for e in encoded_and_read_back(column, scheme, block_size):
+            one_block = block_size > len(column)
+            if scheme is SchemeKind.INDIRECT:
+                tags = e.payload.tags.tolist()
+                assert tags[-1] is tail_tagged[block_size]
+                assert set(tags) == ({tags[-1]} if one_block else {False, True}), block_size
+            else:
+                assert bool(e.payload.flags.any()) is not one_block and not e.payload.flags[-1]
+            assert support.LITERAL_DECODERS[scheme](e.payload) == column
+            assert int_list(e.codec.decode(e.payload)) == column
+            assert decode_array(e) == column
+            for lo in bounds:
+                for hi in bounds:
+                    literal = support.LITERAL_SCANS[scheme](e.payload, lo, hi)
+                    assert int_list(e.codec.scan(e.payload, lo, hi)) == literal, (block_size, lo, hi)
+                    assert scan_id_range(e, IdInterval(lo=lo, hi=hi)) == literal
+
+
 def test_array_payloads_compare_by_value():
     ids = [2, 2, 5, 5, 5, 5, 1, 2, 300]
     plans = [(SchemeKind.RAW, None), (SchemeKind.PREFIX, None), (SchemeKind.RLE, None)]
