@@ -33,12 +33,14 @@ Codecs decode and scan to int arrays, and only ``decode_array`` and
 ``scan_id_range`` turn them into lists.
 
 ``scan_id_range`` finds the row positions whose ID falls in an interval
-without decoding the IDs: raw, sparse, cluster and indirect scan through
-their decode, with each stored ID replaced by its hit, so a flagged block's
-single ID, the dominant ID and each local dictionary entry are tested once
-and the decode places the hits on the rows; RLE and prefix test each run
-once and list only the matching runs' rows, so memory follows the rows
-returned, not the row count; affine positions are solved arithmetically.
+without decoding the IDs: raw, cluster and indirect scan through their
+decode, with each stored ID replaced by its hit, so a flagged block's single
+ID and each local dictionary entry are tested once and the decode places the
+hits on the rows; sparse tests its residual once and, from one dominant row
+in 8 on, reaches the rows through the positions of the absent bits, adding
+the dominant ID's rows only when it hits; RLE and prefix test each run once
+and list only the matching runs' rows, so memory follows the rows returned,
+not the row count; affine positions are solved arithmetically.
 Both blocked layouts put each per-block entry onto its rows by one scalar
 repeat of b, capped at n, cut at n: only the trailing block can be short.
 
@@ -227,9 +229,9 @@ def _require_rows(ids: np.ndarray) -> None:
 
 def _hits(ids: np.ndarray, lo: int | None, hi: int | None) -> np.ndarray:
     """Mask of the IDs in the closed interval [lo, hi]; None is unbounded."""
-    mask = np.ones(ids.shape, bool)
-    if lo is not None:
-        mask &= ids >= lo
+    if lo is None:
+        return np.ones(ids.shape, bool) if hi is None else ids <= hi
+    mask = ids >= lo
     if hi is not None:
         mask &= ids <= hi
     return mask
@@ -429,12 +431,28 @@ def _encode_sparse(ids: np.ndarray, block_size: Any, width: int) -> SparseEncode
     return SparseEncoded(dominant_id=dominant, positions=present, residual=ids[~present])
 
 
-def _decode_sparse(encoded: SparseEncoded, each: Callable = _stored) -> np.ndarray:
+def _decode_sparse(encoded: SparseEncoded) -> np.ndarray:
     present = encoded.positions
-    residual = each(encoded.residual)
-    out = np.full(len(present), each(np.asarray(encoded.dominant_id)), residual.dtype)
-    out[~present] = residual
+    out = np.full(len(present), encoded.dominant_id, encoded.residual.dtype)
+    out[~present] = encoded.residual
     return out
+
+
+def _scan_sparse(p: SparseEncoded, lo: int | None, hi: int | None) -> np.ndarray:
+    """Each residual ID is tested once, and the absent bits take the hits to
+    their rows. From one dominant row in 8 on they do so as positions, since
+    a boolean mask that mixed scatters slowly: a gather when the dominant ID
+    misses, else the hits set in a copy of the presence bits. Below that
+    share the absent bits are nearly all set, and they serve as the mask."""
+    present, dominant = p.positions, bool(_hits(np.asarray(p.dominant_id), lo, hi))
+    absent = ~present
+    if len(p.residual) * 8 <= len(present) * 7:
+        absent = np.flatnonzero(absent)
+        if not dominant:
+            return absent[np.flatnonzero(_hits(p.residual, lo, hi))]
+    hit = present.copy() if dominant else np.zeros(len(present), bool)
+    hit[absent] = _hits(p.residual, lo, hi)
+    return np.flatnonzero(hit)
 
 
 def _pack_sparse(p: SparseEncoded, w: int, out: FieldSink) -> None:
@@ -737,11 +755,14 @@ class Codec:
     ``encode`` takes (ids, block size, ID width) from ``encode_array`` only:
     the IDs as an int64 array it must not keep or modify, and for a blocked
     scheme a block size already checked. ``decode`` returns the IDs in the
-    dtype the payload holds them in. Raw, sparse, cluster and indirect decode
-    take an optional map, applied to each stored ID array before it is placed
-    on the rows (the identity by default), and their ``scan`` is that decode
-    with each stored ID replaced by its hit. ``scan``, given closed ID bounds
-    (None unbounded), returns the ascending row positions as an int array.
+    dtype the payload holds them in. Raw, cluster and indirect decode take an
+    optional map, applied to each stored ID array before it is placed on the
+    rows (the identity by default), and their ``scan`` is that decode with
+    each stored ID replaced by its hit; sparse's ``scan`` tests its residual
+    once and, from one dominant row in 8 on, reaches the rows through the
+    positions of the absent bits.
+    ``scan``, given closed ID bounds (None unbounded), returns the ascending
+    row positions as an int array.
     ``pack`` takes the payload, the ID width and a field sink, and names
     every field it writes, even an empty one: ``u64s(name, values)`` for
     the counts region, ``bits(name, values, width)`` for the packed region.
@@ -773,8 +794,7 @@ CODECS: dict[SchemeKind, Codec] = {
         Codec(SchemeKind.RLE, 2, False, RleEncoded,
               _encode_rle, _decode_rle, _scan_rle, _pack_rle, _unpack_rle),
         Codec(SchemeKind.SPARSE, 3, False, SparseEncoded,
-              _encode_sparse, _decode_sparse, partial(_scan_through, _decode_sparse),
-              _pack_sparse, _unpack_sparse),
+              _encode_sparse, _decode_sparse, _scan_sparse, _pack_sparse, _unpack_sparse),
         Codec(SchemeKind.CLUSTER, 4, True, ClusterEncoded,
               _encode_cluster, _decode_cluster, partial(_scan_through, _decode_cluster),
               _pack_cluster, _unpack_cluster),

@@ -403,6 +403,15 @@ def test_mask_scans_and_decoders_match_the_literal_loops():
     columns += [list(range(16)) * 2 + [0, 1, 2]]  # no indirect block pays at b = 2, 4, 16
     columns += [[200, 200, 7, 7] * 9]  # every indirect block pays at b = 2, 4, 16
     columns += [support.family_column(rng, family, n) for family in support.FAMILIES for n in (1, 2, 5, 33, 300)]
+    # Shuffled sparse columns shaped like the traffic: the dominant ID 17 on
+    # about 2% (below the sparse scan's one row in 8), 16%, 50% and 95% of
+    # the rows, then on every row. The bounds take the dominant ID both in
+    # and out of the interval.
+    for share in (0.02, 0.16, 0.5, 0.95):
+        ids = rng.integers(0, 40, 4_099)
+        ids[: round(share * len(ids))] = 17
+        columns += [rng.permutation(ids).tolist()]
+    columns += [[17] * 4_099]
     blocked = (SchemeKind.CLUSTER, SchemeKind.INDIRECT)
     tag_mixes = set()  # which of no, some and every indirect block pays
     for ids in columns:
@@ -519,6 +528,30 @@ def test_encode_array_takes_an_int64_column_without_copying_it():
             finally:
                 tracemalloc.stop()
             assert peak < 1.5 * array.ids.nbytes, (scheme, peak / array.ids.nbytes)
+
+
+def test_a_sparse_scan_holds_one_position_per_residual_row():
+    """A sparse scan's traced peak above its result: one int64 position and
+    one bool per residual row, and one bool per row, at most 10 B/row. When
+    the dominant ID misses, the gather's index, one int64 per row returned,
+    comes on top. Below one dominant row in 8 the scan holds bools only."""
+    rng = np.random.default_rng(67)
+    n, dominant = 200_000, 150
+    for share in (0.02, 0.16, 0.5, 0.95):
+        ids = rng.integers(0, 300, n)
+        ids[: round(share * n)] = dominant
+        array = ValueIdArray(ids=rng.permutation(ids), id_width_bits=id_width_bits(300))
+        encoded = encode_array(array, SchemeKind.SPARSE)
+        for lo, hi in ((None, None), (None, 149), (151, None), (100, 199), (0, 99), (150, 150)):
+            tracemalloc.start()
+            try:
+                rows = encoded.codec.scan(encoded.payload, lo, hi)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            misses = not (lo is None or lo <= dominant) or not (hi is None or dominant <= hi)
+            above = peak - rows.nbytes - (rows.nbytes if misses else 0)
+            assert above <= 10 * n, (share, lo, hi, above / n)
 
 
 def test_payloads_do_not_share_the_callers_ids():
